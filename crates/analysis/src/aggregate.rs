@@ -7,8 +7,8 @@
 //! category, certificate bits) plus pre-grouped indices (by country, by
 //! error category, by certificate fingerprint, by key fingerprint, by
 //! issuer). The ported analysis modules consume the index through their
-//! `build_from_index` entry points; their `build(&ScanDataset)`
-//! signatures remain as thin wrappers.
+//! `build_from_index` entry points only: a caller builds one index and
+//! hands it to every report it renders.
 //!
 //! The one-pass invariant is load-bearing and instrumented:
 //! [`AggregateIndex::build`] calls [`ScanDataset::records`] exactly

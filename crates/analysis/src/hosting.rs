@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use govscan_scanner::{ScanDataset, ScanRecord};
+use govscan_scanner::ScanRecord;
 
 use crate::aggregate::AggregateIndex;
 use crate::table::{pct, TextTable};
@@ -67,12 +67,6 @@ pub fn build<'a>(records: impl Iterator<Item = &'a ScanRecord>) -> HostingFigure
         }
     }
     fig
-}
-
-/// Build over a whole dataset. Thin wrapper over
-/// [`build_all_from_index`].
-pub fn build_all(scan: &ScanDataset) -> HostingFigure {
-    build_all_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build over a pre-built aggregation index.
@@ -168,7 +162,7 @@ mod tests {
     use crate::testsupport::study;
 
     fn fig() -> HostingFigure {
-        build_all(&study().1.scan)
+        build_all_from_index(&AggregateIndex::build(&study().1.scan))
     }
 
     #[test]

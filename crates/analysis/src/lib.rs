@@ -2,8 +2,9 @@
 //!
 //! Builders for every table and figure in the paper's evaluation, plus
 //! the statistics utilities they need. Each module consumes a
-//! [`govscan_scanner::ScanDataset`] (or the crawl report) and produces a
-//! typed result with a text rendering whose rows match the paper's.
+//! [`govscan_scanner::ScanDataset`], the [`aggregate::AggregateIndex`]
+//! built once over it, or the crawl report, and produces a typed result
+//! with a text rendering whose rows match the paper's.
 //!
 //! | Module | Reproduces |
 //! |---|---|

@@ -38,6 +38,8 @@ pub struct PhishingReport {
 /// Scan a candidate hostname universe (ranking rows, crawl by-catch,
 /// CT-log-style dumps) for lookalikes. Genuine government hostnames — as
 /// judged by the conservative filter — are excluded by construction.
+/// Twins come back sorted by hostname, whatever order the candidates
+/// arrive in, so the report renders the same on every run.
 pub fn detect<'a>(
     ctx: &ScanContext<'_>,
     filter: &GovFilter,
@@ -72,6 +74,7 @@ pub fn detect<'a>(
             valid_https: record.https.is_valid(),
         });
     }
+    report.twins.sort_by(|a, b| a.hostname.cmp(&b.hostname));
     report
 }
 
@@ -127,6 +130,36 @@ mod tests {
             candidates.iter().map(|s| s.as_str()),
             &collapsed,
         )
+    }
+
+    #[test]
+    fn render_is_independent_of_candidate_order() {
+        let (world, _) = study();
+        let pipeline = StudyPipeline::new(world);
+        let ctx = pipeline.context();
+        let filter = GovFilter::standard();
+        // Make a slice of non-government hosts lookalikes of themselves,
+        // so there are more twins than the render lists.
+        let mut candidates: Vec<&str> = world
+            .net
+            .hostnames()
+            .filter(|h| !filter.is_gov(h))
+            .collect();
+        candidates.sort_unstable();
+        candidates.truncate(100);
+        let collapsed: std::collections::HashSet<String> = candidates
+            .iter()
+            .filter_map(|h| h.rsplit_once('.'))
+            .map(|(stem, _)| stem.replace('.', ""))
+            .collect();
+        let forward = detect(&ctx, &filter, candidates.iter().copied(), &collapsed);
+        let backward = detect(&ctx, &filter, candidates.iter().rev().copied(), &collapsed);
+        assert!(
+            forward.twins.len() > 30,
+            "more twins than the render lists: {}",
+            forward.twins.len()
+        );
+        assert_eq!(forward.render(), backward.render());
     }
 
     #[test]

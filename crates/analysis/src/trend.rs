@@ -276,7 +276,9 @@ mod tests {
 
     #[test]
     fn one_epoch_point_matches_dataset_filters() {
-        let scan = &testsupport::study().1.scan;
+        // A private clone: sibling tests walk the shared fixture
+        // concurrently, and only this clone's walk counter is ours.
+        let scan = &testsupport::study().1.scan.clone();
         let walks_before = scan.walks();
         let p = epoch_point("epoch 0", scan);
         assert_eq!(

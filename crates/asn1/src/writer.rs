@@ -1,7 +1,5 @@
 //! DER encoding.
 
-use bytes::{BufMut, BytesMut};
-
 use crate::oid::Oid;
 use crate::tag::Tag;
 use crate::time::Time;
@@ -13,7 +11,7 @@ use crate::time::Time;
 /// caller never computes lengths by hand.
 #[derive(Default)]
 pub struct DerWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl DerWriter {
@@ -24,7 +22,7 @@ impl DerWriter {
 
     /// Finish and return the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 
     /// Bytes written so far (mostly for tests).
@@ -39,26 +37,26 @@ impl DerWriter {
 
     fn write_len(&mut self, len: usize) {
         if len < 0x80 {
-            self.buf.put_u8(len as u8);
+            self.buf.push(len as u8);
         } else {
             let bytes = (usize::BITS / 8 - len.leading_zeros() / 8) as usize;
-            self.buf.put_u8(0x80 | bytes as u8);
+            self.buf.push(0x80 | bytes as u8);
             for i in (0..bytes).rev() {
-                self.buf.put_u8((len >> (i * 8)) as u8);
+                self.buf.push((len >> (i * 8)) as u8);
             }
         }
     }
 
     /// Write a complete TLV with the given tag and content bytes.
     pub fn tlv(&mut self, tag: Tag, content: &[u8]) {
-        self.buf.put_u8(tag.0);
+        self.buf.push(tag.0);
         self.write_len(content.len());
-        self.buf.put_slice(content);
+        self.buf.extend_from_slice(content);
     }
 
     /// Append pre-encoded DER verbatim (e.g. a nested certificate).
     pub fn raw(&mut self, der: &[u8]) {
-        self.buf.put_slice(der);
+        self.buf.extend_from_slice(der);
     }
 
     /// BOOLEAN.

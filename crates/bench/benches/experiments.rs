@@ -1,10 +1,13 @@
 //! Per-experiment pipeline benchmarks: one bench per reproduced
 //! table/figure, timing the analysis pass that regenerates it over a
 //! shared pre-built small world — plus the expensive pipeline stages
-//! themselves (world generation, crawl, full scan).
+//! themselves (world generation, crawl, full scan). Index-fed reports
+//! read one `AggregateIndex` built outside the timed loop; building it
+//! is a bench of its own.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use govscan_analysis as analysis;
+use govscan_analysis::aggregate::AggregateIndex;
 use govscan_bench::fixture;
 use govscan_scanner::{GovFilter, StudyPipeline};
 use govscan_worldgen::{World, WorldConfig};
@@ -34,28 +37,32 @@ fn bench_pipeline_stages(c: &mut Criterion) {
 
 fn bench_tables(c: &mut Criterion) {
     let (world, study) = fixture();
+    let index = AggregateIndex::build(&study.scan);
     let mut g = c.benchmark_group("experiments");
+    g.bench_function("aggregate_index", |b| {
+        b.iter(|| AggregateIndex::build(black_box(&study.scan)))
+    });
     g.bench_function("table1_overlap", |b| {
         let filter = GovFilter::standard();
         b.iter(|| analysis::table1::build(&filter, &[&world.tranco, &world.majestic, &world.cisco]))
     });
     g.bench_function("table2_worldwide", |b| {
-        b.iter(|| analysis::table2::build(black_box(&study.scan)))
+        b.iter(|| analysis::table2::build_from_index(black_box(&index)))
     });
     g.bench_function("fig1_choropleth", |b| {
-        b.iter(|| analysis::choropleth::build(black_box(&study.scan)))
+        b.iter(|| analysis::choropleth::build_from_index(black_box(&index)))
     });
     g.bench_function("fig2_issuers_top40", |b| {
-        b.iter(|| analysis::issuers::build(black_box(&study.scan), 40))
+        b.iter(|| analysis::issuers::build_from_index(black_box(&index), 40))
     });
     g.bench_function("fig3_durations", |b| {
-        b.iter(|| analysis::durations::build(black_box(&study.scan)))
+        b.iter(|| analysis::durations::build_from_index(black_box(&index)))
     });
     g.bench_function("fig4_keys", |b| {
-        b.iter(|| analysis::keys::build(black_box(&study.scan)))
+        b.iter(|| analysis::keys::build_from_index(black_box(&index)))
     });
     g.bench_function("fig5_hosting", |b| {
-        b.iter(|| analysis::hosting::build_all(black_box(&study.scan)))
+        b.iter(|| analysis::hosting::build_all_from_index(black_box(&index)))
     });
     g.bench_function("fig7_rank_regression", |b| {
         // Regression + binning over the scanned gov group.
@@ -73,7 +80,7 @@ fn bench_tables(c: &mut Criterion) {
         })
     });
     g.bench_function("reuse_keys_5_3_3", |b| {
-        b.iter(|| analysis::reuse::build(black_box(&study.scan)))
+        b.iter(|| analysis::reuse::build_from_index(black_box(&index)))
     });
     g.bench_function("caa_5_3_4", |b| {
         b.iter(|| {
@@ -86,7 +93,7 @@ fn bench_tables(c: &mut Criterion) {
         })
     });
     g.bench_function("ev_appendix", |b| {
-        b.iter(|| analysis::ev::build(black_box(&study.scan)))
+        b.iter(|| analysis::ev::build_from_index(black_box(&index)))
     });
     g.bench_function("crawlstats_figA4", |b| {
         b.iter(|| analysis::crawlstats::build(black_box(&study.crawl)))

@@ -9,9 +9,11 @@
 //!
 //! - `store/write` — encode the dataset into an in-memory snapshot
 //!   (the dominant cost of `snapshot scan --out`, minus the disk).
-//! - `store/load` — validate (magic, version, every section checksum)
-//!   and rebuild the full `ScanDataset` from the snapshot bytes: the
-//!   cold-start cost of `snapshot report --from` / `snapshot diff`.
+//! - `store/load` — open the snapshot bytes (magic, version, section
+//!   table, meta) and rebuild the full `ScanDataset`, verifying every
+//!   section checksum on the way: the cold-start cost of
+//!   `snapshot report --from` / `snapshot diff`. Each iteration copies
+//!   the bytes into the `Snapshot` it opens.
 //! - `store_baseline/regenerate_rescan` — the only alternative without
 //!   the archive: `World::generate` at the same scale plus the full
 //!   `StudyPipeline::run`. Runs at `sample_size(2)` because a single
@@ -31,7 +33,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::{choropleth, durations, ev, hsts, issuers, keys, reuse, table2};
 use govscan_scanner::{ScanDataset, StudyPipeline};
-use govscan_store::{Snapshot, SnapshotReader};
+use govscan_store::Snapshot;
 use govscan_worldgen::{World, WorldConfig};
 
 /// Worker count pinned for the regenerate arm, as in benches/worldgen.rs:
@@ -67,10 +69,8 @@ fn bench_store(c: &mut Criterion) {
     // The invariant first: a snapshot of this very dataset must round-trip
     // losslessly at the benched scale before its speed means anything.
     let bytes = Snapshot::encode(&scan).expect("dataset encodes");
-    let restored = SnapshotReader::new(&bytes)
-        .expect("valid snapshot")
-        .dataset()
-        .expect("snapshot reads back");
+    let reader = Snapshot::from_bytes(bytes.clone()).expect("valid snapshot");
+    let restored = reader.dataset().expect("snapshot reads back");
     assert_eq!(
         Snapshot::digest_of(&scan).unwrap(),
         Snapshot::digest_of(&restored).unwrap(),
@@ -81,7 +81,6 @@ fn bench_store(c: &mut Criterion) {
         renders(&restored),
         "round-trip analysis renders diverge at {target} hosts"
     );
-    let reader = SnapshotReader::new(&bytes).expect("valid snapshot");
     println!(
         "store dataset: {target} hosts → {} bytes ({:.1} B/host, {} pooled certs, {} strings)",
         bytes.len(),
@@ -98,7 +97,7 @@ fn bench_store(c: &mut Criterion) {
     g.bench_function("load", |b| {
         b.iter(|| {
             black_box(
-                SnapshotReader::new(&bytes)
+                Snapshot::from_bytes(bytes.clone())
                     .expect("valid snapshot")
                     .dataset()
                     .expect("snapshot reads back"),

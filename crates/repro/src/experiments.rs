@@ -162,14 +162,8 @@ pub fn fig4(env: &mut Env) -> String {
 /// Figure 5: validity by hosting type (world / USA / ROK).
 pub fn fig5(env: &mut Env) -> String {
     let world_fig = analysis::hosting::build_all_from_index(env.index());
-    let usa_fig = {
-        let scan = env.usa_scan().clone();
-        analysis::hosting::build_all(&scan)
-    };
-    let rok_fig = {
-        let scan = env.rok_scan().clone();
-        analysis::hosting::build_all(&scan)
-    };
+    let usa_fig = analysis::hosting::build_all_from_index(&env.usa().index);
+    let rok_fig = analysis::hosting::build_all_from_index(&env.rok().index);
     let mut out = String::from("--- worldwide ---\n");
     out.push_str(&world_fig.render());
     out.push_str("--- USA (GSA) ---\n");
@@ -248,11 +242,11 @@ pub fn fig6_fig7(env: &mut Env) -> String {
 /// Figures 8–10 + Tables A.1/A.2: the USA case study.
 pub fn usa_case(env: &mut Env) -> String {
     let tags = env.gsa_tags();
-    let scan = env.usa_scan().clone();
-    let case = analysis::casestudy::build_usa(&scan, &tags);
-    let issuers = analysis::issuers::build(&scan, 25);
-    let keys = analysis::keys::build(&scan);
-    let durations = analysis::durations::build(&scan);
+    let usa = env.usa();
+    let case = analysis::casestudy::build_usa(&usa.scan, &tags);
+    let issuers = analysis::issuers::build_from_index(&usa.index, 25);
+    let keys = analysis::keys::build_from_index(&usa.index);
+    let durations = analysis::durations::build_from_index(&usa.index);
     let mut out = String::from("--- Figure 8: USA issuers ---\n");
     out.push_str(&issuers.render());
     out.push_str("--- Figure 9: USA keys × algorithms ---\n");
@@ -274,10 +268,10 @@ pub fn usa_case(env: &mut Env) -> String {
 
 /// Figures 11–12 + Tables A.3/A.4: the South Korea case study.
 pub fn rok_case(env: &mut Env) -> String {
-    let scan = env.rok_scan().clone();
-    let agg = analysis::casestudy::build_rok(&scan);
-    let issuers = analysis::issuers::build(&scan, 25);
-    let keys = analysis::keys::build(&scan);
+    let rok = env.rok();
+    let agg = analysis::casestudy::build_rok(&rok.scan);
+    let issuers = analysis::issuers::build_from_index(&rok.index, 25);
+    let keys = analysis::keys::build_from_index(&rok.index);
     let mut out = String::from("--- Figure 11: ROK issuers ---\n");
     out.push_str(&issuers.render());
     out.push_str("--- Figure 12: ROK keys × algorithms ---\n");
@@ -304,10 +298,8 @@ pub fn rok_case(env: &mut Env) -> String {
 /// §6.3: the USA-vs-ROK contrast.
 pub fn case_contrast(env: &mut Env) -> String {
     let tags = env.gsa_tags();
-    let usa_scan = env.usa_scan().clone();
-    let rok_scan = env.rok_scan().clone();
-    let usa = analysis::casestudy::build_usa(&usa_scan, &tags).overall;
-    let rok = analysis::casestudy::build_rok(&rok_scan);
+    let usa = analysis::casestudy::build_usa(&env.usa().scan, &tags).overall;
+    let rok = analysis::casestudy::build_rok(&env.rok().scan);
     let mut out = String::new();
     out.push_str(&cmp_row(
         "headline valid (USA vs ROK)",
@@ -487,10 +479,8 @@ pub fn interlink(env: &mut Env) -> String {
 /// Figures A.2/A.3/A.6: EV certificate usage.
 pub fn ev(env: &mut Env) -> String {
     let world = analysis::ev::build_from_index(env.index());
-    let usa_scan = env.usa_scan().clone();
-    let rok_scan = env.rok_scan().clone();
-    let usa = analysis::ev::build(&usa_scan);
-    let rok = analysis::ev::build(&rok_scan);
+    let usa = analysis::ev::build_from_index(&env.usa().index);
+    let rok = analysis::ev::build_from_index(&env.rok().index);
     let mut out = String::from("--- worldwide (Fig A.6) ---\n");
     out.push_str(&world.render());
     out.push_str("--- USA (Fig A.2) ---\n");

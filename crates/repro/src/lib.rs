@@ -38,8 +38,25 @@ pub struct Env {
     /// Single-pass aggregation over the worldwide scan, built on first
     /// use and shared by every experiment via [`Env::index`].
     aggregate: OnceLock<AggregateIndex>,
-    usa_scan: Option<ScanDataset>,
-    rok_scan: Option<ScanDataset>,
+    usa: Option<CaseStudy>,
+    rok: Option<CaseStudy>,
+}
+
+/// A case-study scan and the one aggregation index every report over it
+/// reads.
+pub struct CaseStudy {
+    /// The scan of the case study's host list.
+    pub scan: ScanDataset,
+    /// Single-pass aggregation over [`CaseStudy::scan`].
+    pub index: AggregateIndex,
+}
+
+impl CaseStudy {
+    fn run(world: &World, hosts: &[String]) -> CaseStudy {
+        let scan = StudyPipeline::new(world).scan_list(hosts);
+        let index = AggregateIndex::build(&scan);
+        CaseStudy { scan, index }
+    }
 }
 
 impl Env {
@@ -74,8 +91,8 @@ impl Env {
             world,
             study,
             aggregate: OnceLock::from(index),
-            usa_scan: None,
-            rok_scan: None,
+            usa: None,
+            rok: None,
         }
     }
 
@@ -87,22 +104,19 @@ impl Env {
             .get_or_init(|| AggregateIndex::build(&self.study.scan))
     }
 
-    /// The USA GSA case-study scan (computed once).
-    pub fn usa_scan(&mut self) -> &ScanDataset {
-        if self.usa_scan.is_none() {
-            let scan = StudyPipeline::new(&self.world).scan_list(&self.world.gsa_hosts);
-            self.usa_scan = Some(scan);
-        }
-        self.usa_scan.as_ref().expect("just set")
+    /// The USA GSA case study (scanned and indexed once).
+    pub fn usa(&mut self) -> &CaseStudy {
+        let world = &self.world;
+        self.usa
+            .get_or_insert_with(|| CaseStudy::run(world, &world.gsa_hosts))
     }
 
-    /// The South Korea Government24 case-study scan (computed once).
-    pub fn rok_scan(&mut self) -> &ScanDataset {
-        if self.rok_scan.is_none() {
-            let scan = StudyPipeline::new(&self.world).scan_list(&self.world.rok_hosts);
-            self.rok_scan = Some(scan);
-        }
-        self.rok_scan.as_ref().expect("just set")
+    /// The South Korea Government24 case study (scanned and indexed
+    /// once).
+    pub fn rok(&mut self) -> &CaseStudy {
+        let world = &self.world;
+        self.rok
+            .get_or_insert_with(|| CaseStudy::run(world, &world.rok_hosts))
     }
 
     /// GSA hostname → dataset tags (input metadata for Table A.1/A.2).

@@ -1,15 +1,17 @@
 //! The daemon's contract: every endpoint, served through the lazy
 //! `Snapshot` facade, is byte-identical to JSON built from a fully
-//! materialised eager dataset — and point queries stay lazy (a cold
+//! materialised dataset — and point queries stay lazy (a cold
 //! `GET /hosts/{name}` never builds a `ScanDataset`).
 //!
-//! The eager side deliberately re-derives each answer from
-//! `SnapshotReader::new(..).dataset()` (the validate-everything path),
-//! so a divergence in either surface shows up as a byte diff.
+//! The reference side deliberately re-derives each answer from a full
+//! `dataset()` decode on its own `Snapshot` instance, independent of
+//! the daemon's, so a divergence between point queries and the full
+//! decode shows up as a byte diff.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::{choropleth, table2};
 use govscan_scanner::{ErrorCategory, ScanDataset, StudyPipeline};
 use govscan_serve::api::{
@@ -18,7 +20,7 @@ use govscan_serve::api::{
 };
 use govscan_serve::http::{Request, Response};
 use govscan_serve::{json, ServeState};
-use govscan_store::{diff_datasets, Snapshot, SnapshotReader};
+use govscan_store::{diff_datasets, Snapshot};
 use govscan_worldgen::{World, WorldConfig};
 
 fn scan(seed: u64) -> ScanDataset {
@@ -49,13 +51,13 @@ fn state() -> &'static ServeState {
     })
 }
 
-/// The eager twin: full validate-and-decode of the same file.
+/// The eager twin: a full decode of the same file on a separate
+/// `Snapshot` instance.
 fn eager(path: &PathBuf) -> ScanDataset {
-    let bytes = std::fs::read(path).expect("read archive");
-    SnapshotReader::new(&bytes)
-        .expect("eager open")
+    Snapshot::open(path)
+        .expect("open")
         .dataset()
-        .expect("eager decode")
+        .expect("full decode")
 }
 
 fn eager_before() -> &'static ScanDataset {
@@ -85,7 +87,7 @@ fn table2_matches_eager() {
     let ds = eager_before();
     let expected = Table2Response {
         snapshot: digest_hex(ds),
-        table: table2::build(ds),
+        table: table2::build_from_index(&AggregateIndex::build(ds)),
     }
     .to_json()
     .encode();
@@ -95,7 +97,7 @@ fn table2_matches_eager() {
 #[test]
 fn choropleth_matches_eager() {
     let ds = eager_before();
-    let map = choropleth::build(ds);
+    let map = choropleth::build_from_index(&AggregateIndex::build(ds));
     let expected = ChoroplethResponse {
         snapshot: digest_hex(ds),
         rows: map.rows.iter().map(|(cc, row)| (*cc, *row)).collect(),
@@ -109,7 +111,7 @@ fn choropleth_matches_eager() {
 fn every_country_matches_eager() {
     let ds = eager_before();
     let digest = digest_hex(ds);
-    let map = choropleth::build(ds);
+    let map = choropleth::build_from_index(&AggregateIndex::build(ds));
     assert!(!map.rows.is_empty(), "fixture should span countries");
     for (cc, row) in &map.rows {
         // Re-derive the drill-down straight from the records, not via
@@ -199,13 +201,14 @@ fn snapshots_matches_eager() {
         .iter()
         .map(|path| {
             let bytes = std::fs::read(path).expect("read");
-            let reader = SnapshotReader::new(&bytes).expect("open");
+            let size = bytes.len() as u64;
+            let reader = Snapshot::from_bytes(bytes).expect("open");
             SnapshotEntry {
                 label: path.file_stem().unwrap().to_str().unwrap().to_owned(),
                 digest: digest_hex(&reader.dataset().expect("decode")),
                 chain: path.file_stem().unwrap().to_str().unwrap().to_owned(),
                 epoch: 0,
-                bytes: bytes.len() as u64,
+                bytes: size,
                 scan_time: reader.scan_time().map(|t| t.0),
                 hosts: reader.host_count(),
                 certs: reader.cert_count(),

@@ -50,9 +50,10 @@ use govscan_crypto::Fingerprint;
 use govscan_pki::Time;
 use govscan_scanner::ScanDataset;
 
+use crate::container::{Container, ContainerWriter, Format, Section};
 use crate::error::{Result, StoreError};
 use crate::lazy::Snapshot;
-use crate::snapshot::{assemble_dataset, Section, SnapshotWriter};
+use crate::snapshot::{assemble_dataset, SnapshotWriter};
 use crate::wire::{Checksum, Decoder, Encoder};
 
 /// File magic: the first eight bytes of every govscan delta.
@@ -64,26 +65,24 @@ pub const DELTA_VERSION: u32 = 1;
 /// Meta payload size: digest + time flag/value + three counts.
 const META_LEN: u64 = 32 + 1 + 8 + 8 + 8 + 8;
 
-/// Delta section identifiers (a separate id space from `GOVSNAP1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
-enum DeltaSectionId {
-    Meta = 1,
-    Removed = 2,
-    Positions = 3,
-    Patch = 4,
-}
+// Delta section ids (a separate id space from `GOVSNAP1`), in
+// section-table order.
+const META: u32 = 1;
+const REMOVED: u32 = 2;
+const POSITIONS: u32 = 3;
+const PATCH: u32 = 4;
 
-impl DeltaSectionId {
-    fn name(self) -> &'static str {
-        match self {
-            DeltaSectionId::Meta => "delta meta",
-            DeltaSectionId::Removed => "removed",
-            DeltaSectionId::Positions => "positions",
-            DeltaSectionId::Patch => "patch",
-        }
-    }
-}
+/// The `GOVDLT1` container.
+static FORMAT: Format = Format {
+    magic: DELTA_MAGIC,
+    version: DELTA_VERSION,
+    names: &[
+        (META, "delta meta"),
+        (REMOVED, "removed"),
+        (POSITIONS, "positions"),
+        (PATCH, "patch"),
+    ],
+};
 
 /// A parsed (but not yet applied) delta file.
 ///
@@ -93,83 +92,23 @@ impl DeltaSectionId {
 /// checksum-verified when [`Delta::apply`] touches them.
 pub struct Delta {
     bytes: Vec<u8>,
-    version: u32,
+    table: Container,
     base_digest: Fingerprint,
     scan_time: Option<Time>,
     new_host_count: u64,
     patch_count: u64,
     removed_count: u64,
-    sections: Vec<Section>,
 }
 
 impl Delta {
     // --- Construction (read side).
 
     /// Parse `bytes` as a delta, validating header, table, and meta.
+    /// The meta counts are checked against the section sizes, so none
+    /// can size an allocation the file could not fill.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Delta> {
-        if bytes.len() < DELTA_MAGIC.len() || bytes[..DELTA_MAGIC.len()] != DELTA_MAGIC {
-            if bytes.len() >= DELTA_MAGIC.len() {
-                return Err(StoreError::BadMagic {
-                    found: bytes[..DELTA_MAGIC.len()].to_vec(),
-                });
-            }
-            // Too short to even hold the magic: an empty or chopped file.
-            if bytes.is_empty() || !DELTA_MAGIC.starts_with(&bytes) {
-                return Err(StoreError::BadMagic {
-                    found: bytes.to_vec(),
-                });
-            }
-            return Err(StoreError::Truncated { context: "header" });
-        }
-        let mut header = Decoder::new(&bytes, "header");
-        header.bytes(DELTA_MAGIC.len())?;
-        let version = header.u32()?;
-        if version != DELTA_VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let _reserved = header.u32()?;
-        let table_offset = header.u64()?;
-        let table_bytes = usize::try_from(table_offset)
-            .ok()
-            .and_then(|o| bytes.get(o..))
-            .ok_or(StoreError::Truncated {
-                context: "section table",
-            })?;
-        let mut table = Decoder::new(table_bytes, "section table");
-        let count = table.u32()?;
-        let mut sections = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let id = table.u32()?;
-            let offset = table.u64()?;
-            let len = table.u64()?;
-            let checksum = table.u64()?;
-            let name = match id {
-                x if x == DeltaSectionId::Meta as u32 => DeltaSectionId::Meta.name(),
-                x if x == DeltaSectionId::Removed as u32 => DeltaSectionId::Removed.name(),
-                x if x == DeltaSectionId::Positions as u32 => DeltaSectionId::Positions.name(),
-                x if x == DeltaSectionId::Patch as u32 => DeltaSectionId::Patch.name(),
-                _ => "unknown",
-            };
-            sections.push(Section {
-                id,
-                name,
-                offset,
-                len,
-                checksum,
-            });
-        }
-
-        let mut delta = Delta {
-            bytes,
-            version,
-            base_digest: Fingerprint([0; 32]),
-            scan_time: None,
-            new_host_count: 0,
-            patch_count: 0,
-            removed_count: 0,
-            sections,
-        };
-        let meta_payload = delta.verified_payload(DeltaSectionId::Meta)?;
+        let table = Container::parse(&bytes, &FORMAT)?;
+        let meta_payload = table.verified_payload(&bytes, META)?;
         if meta_payload.len() as u64 != META_LEN {
             return Err(StoreError::Corrupt {
                 context: "delta meta",
@@ -185,24 +124,25 @@ impl Delta {
         let patch_count = meta.u64()?;
         let removed_count = meta.u64()?;
         meta.finish()?;
-        delta.base_digest = base_digest;
-        delta.scan_time = scan_time;
-        delta.new_host_count = new_host_count;
-        delta.patch_count = patch_count;
-        delta.removed_count = removed_count;
 
-        // Cross-validate the fixed-width positions section.
-        let positions = delta.section(DeltaSectionId::Positions)?;
-        if positions.len != delta.patch_count * 4 {
+        table.check_len(POSITIONS, patch_count, 4)?;
+        // Hostnames vary in length, but each carries a 4-byte prefix.
+        let removed_len = table.section(REMOVED)?.len;
+        if removed_count > removed_len / 4 {
             return Err(StoreError::Corrupt {
-                context: "positions",
-                detail: format!(
-                    "{} bytes for {} patch records",
-                    positions.len, delta.patch_count
-                ),
+                context: "removed",
+                detail: format!("{removed_count} hostnames cannot fit in {removed_len} bytes"),
             });
         }
-        Ok(delta)
+        Ok(Delta {
+            bytes,
+            table,
+            base_digest,
+            scan_time,
+            new_host_count,
+            patch_count,
+            removed_count,
+        })
     }
 
     /// Read and parse a delta file.
@@ -240,7 +180,7 @@ impl Delta {
             .collect();
 
         let mut positions: Vec<u32> = Vec::new();
-        let mut patch = SnapshotWriter::new(Cursor::new(Vec::new()), new.scan_time)?;
+        let mut changed = Vec::new();
         let mut last_carried: Option<usize> = None;
         for (pos, r) in new_records.iter().enumerate() {
             match base_ds.get(&r.hostname) {
@@ -258,10 +198,12 @@ impl Delta {
                         field: "patch position",
                     })?;
                     positions.push(pos);
-                    patch.add(r)?;
+                    changed.push(r);
                 }
             }
         }
+        let mut patch = SnapshotWriter::new(Cursor::new(Vec::new()), new.scan_time)?;
+        patch.append_records(changed)?;
         let patch_bytes = patch.finish()?.into_inner();
 
         let mut meta = Encoder::new();
@@ -290,40 +232,16 @@ impl Delta {
             positions_enc.u32(*p);
         }
 
-        let mut out = Vec::new();
-        out.extend_from_slice(&DELTA_MAGIC);
-        out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes()); // table offset, patched below
-
-        let payloads: [(DeltaSectionId, &[u8]); 4] = [
-            (DeltaSectionId::Meta, meta.as_bytes()),
-            (DeltaSectionId::Removed, removed_enc.as_bytes()),
-            (DeltaSectionId::Positions, positions_enc.as_bytes()),
-            (DeltaSectionId::Patch, &patch_bytes),
-        ];
-        let mut table: Vec<(u32, u64, u64, u64)> = Vec::with_capacity(payloads.len());
-        for (id, payload) in payloads {
-            table.push((
-                id as u32,
-                out.len() as u64,
-                payload.len() as u64,
-                Checksum::of(payload),
-            ));
-            out.extend_from_slice(payload);
+        let mut out = ContainerWriter::new(Cursor::new(Vec::new()), &FORMAT)?;
+        for (id, payload) in [
+            (META, meta.as_bytes()),
+            (REMOVED, removed_enc.as_bytes()),
+            (POSITIONS, positions_enc.as_bytes()),
+            (PATCH, &patch_bytes),
+        ] {
+            out.section(id, payload, Checksum::of(payload))?;
         }
-        let table_offset = out.len() as u64;
-        let mut t = Encoder::new();
-        t.u32(table.len() as u32);
-        for (id, offset, len, checksum) in table {
-            t.u32(id);
-            t.u64(offset);
-            t.u64(len);
-            t.u64(checksum);
-        }
-        out.extend_from_slice(t.as_bytes());
-        out[16..24].copy_from_slice(&table_offset.to_le_bytes());
-        Ok(out)
+        Ok(out.finish()?.into_inner())
     }
 
     /// Write the delta from `base` to `new` at `path`; returns its size.
@@ -337,7 +255,7 @@ impl Delta {
 
     /// Format version of the file.
     pub fn version(&self) -> u32 {
-        self.version
+        DELTA_VERSION
     }
 
     /// Digest of the exact base archive this delta applies to.
@@ -367,7 +285,7 @@ impl Delta {
 
     /// The validated section table.
     pub fn sections(&self) -> &[Section] {
-        &self.sections
+        &self.table.sections
     }
 
     /// Total delta size in bytes.
@@ -405,6 +323,21 @@ impl Delta {
                 detail: format!(
                     "embedded archive holds {} records, meta promises {}",
                     patch.len(),
+                    self.patch_count
+                ),
+            });
+        }
+
+        // Every record of the new archive is a patch record or a carried
+        // base record, which bounds the count before it sizes the merge.
+        let most = base.host_count().saturating_add(self.patch_count);
+        if self.new_host_count > most {
+            return Err(StoreError::Corrupt {
+                context: "delta meta",
+                detail: format!(
+                    "{} hosts from a {}-host base and {} patch records",
+                    self.new_host_count,
+                    base.host_count(),
                     self.patch_count
                 ),
             });
@@ -478,7 +411,7 @@ impl Delta {
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "govscan delta v{}", self.version);
+        let _ = writeln!(out, "govscan delta v{DELTA_VERSION}");
         let _ = writeln!(out, "  size: {} bytes", self.bytes.len());
         let _ = writeln!(out, "  base: {}", self.base_digest);
         let _ = writeln!(out, "  scan time: {:?}", self.scan_time.map(|t| t.0));
@@ -488,7 +421,7 @@ impl Delta {
             self.new_host_count, self.patch_count, self.removed_count
         );
         let _ = writeln!(out, "  sections:");
-        for s in &self.sections {
+        for s in &self.table.sections {
             let _ = writeln!(
                 out,
                 "    {:<10} offset {:>8} len {:>8} fnv1a64 {:016x}",
@@ -498,36 +431,14 @@ impl Delta {
         out
     }
 
-    // --- Section plumbing (mirrors `Layout`, over the delta id space).
-
-    fn section(&self, id: DeltaSectionId) -> Result<&Section> {
-        self.sections
-            .iter()
-            .find(|s| s.id == id as u32)
-            .ok_or(StoreError::Corrupt {
-                context: "section table",
-                detail: format!("missing required section {:?}", id.name()),
-            })
-    }
-
-    fn verified_payload(&self, id: DeltaSectionId) -> Result<&[u8]> {
-        let s = self.section(id)?;
-        let start =
-            usize::try_from(s.offset).map_err(|_| StoreError::Truncated { context: s.name })?;
-        let len = usize::try_from(s.len).map_err(|_| StoreError::Truncated { context: s.name })?;
-        let payload = start
-            .checked_add(len)
-            .and_then(|end| self.bytes.get(start..end))
-            .ok_or(StoreError::Truncated { context: s.name })?;
-        if Checksum::of(payload) != s.checksum {
-            return Err(StoreError::ChecksumMismatch { section: s.name });
-        }
-        Ok(payload)
+    /// A section's payload with its checksum verified.
+    fn verified_payload(&self, id: u32) -> Result<&[u8]> {
+        self.table.verified_payload(&self.bytes, id)
     }
 
     /// Decode the removed-hostname list (verifies the section).
     fn removed(&self) -> Result<Vec<String>> {
-        let mut d = Decoder::new(self.verified_payload(DeltaSectionId::Removed)?, "removed");
+        let mut d = Decoder::new(self.verified_payload(REMOVED)?, "removed");
         let mut out = Vec::with_capacity(self.removed_count as usize);
         for _ in 0..self.removed_count {
             let len = d.u32()? as usize;
@@ -542,10 +453,7 @@ impl Delta {
 
     /// Decode the patch positions (verifies the section; must ascend).
     fn positions(&self) -> Result<Vec<u32>> {
-        let mut d = Decoder::new(
-            self.verified_payload(DeltaSectionId::Positions)?,
-            "positions",
-        );
+        let mut d = Decoder::new(self.verified_payload(POSITIONS)?, "positions");
         let mut out = Vec::with_capacity(self.patch_count as usize);
         for _ in 0..self.patch_count {
             let p = d.u32()?;
@@ -560,7 +468,7 @@ impl Delta {
 
     /// Open the embedded patch archive (verifies the section).
     fn patch(&self) -> Result<Snapshot> {
-        Snapshot::from_bytes(self.verified_payload(DeltaSectionId::Patch)?.to_vec())
+        Snapshot::from_bytes(self.verified_payload(PATCH)?.to_vec())
     }
 }
 

@@ -1,10 +1,10 @@
-//! The lazy [`Snapshot`] facade: open cheap, decode on first touch.
+//! The [`Snapshot`] facade: the one way to read an archive. It opens
+//! cheap and decodes on first touch.
 //!
-//! [`crate::snapshot::SnapshotReader`] is built for the batch pipeline —
-//! validate every checksum up front, then materialize the whole
-//! [`ScanDataset`] once. A query daemon has the opposite access pattern:
-//! open an archive once, then answer many point queries, most of which
-//! need only a sliver of the file. `Snapshot` serves that pattern:
+//! A query daemon opens an archive once, then answers many point
+//! queries, most of which need only a sliver of the file; a batch
+//! report materializes the whole [`ScanDataset`] once. `Snapshot` serves
+//! both:
 //!
 //! * [`Snapshot::open`] / [`Snapshot::from_bytes`] parse and validate
 //!   only the header, section table, and the 41-byte meta section
@@ -19,6 +19,8 @@
 //!   `ScanDataset`; a hostname → index map ([`Snapshot::host_by_name`])
 //!   is built on demand by reading only the 4-byte hostname id of each
 //!   35-byte record.
+//! * [`Snapshot::dataset`] decodes everything, verifying each section's
+//!   checksum as it first touches it.
 //! * The facade also owns the writer-side conveniences
 //!   ([`Snapshot::encode`], [`Snapshot::write_file`],
 //!   [`Snapshot::digest_of`]) that used to be free functions, so the
@@ -30,7 +32,7 @@
 //! `GET /hosts/{name}` builds no dataset at all.
 
 use std::collections::HashMap;
-use std::io::{BufWriter, Cursor, Seek};
+use std::io::{BufWriter, Cursor, Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -41,10 +43,11 @@ use govscan_pki::Time;
 use govscan_scanner::classify::CertMeta;
 use govscan_scanner::{ScanDataset, ScanRecord};
 
+use crate::container::Section;
 use crate::error::{Result, StoreError};
 use crate::snapshot::{
-    assemble_dataset, decode_caa, decode_certs, decode_host_record, decode_strings,
-    render_describe, Layout, Section, SectionId, SnapshotWriter, HOST_RECORD_LEN,
+    assemble_dataset, decode_caa, decode_certs, decode_host_record, decode_strings, Layout,
+    SnapshotWriter, CAA, CERTS, HOSTS, HOST_RECORD_LEN, STRINGS, VERSION,
 };
 use crate::wire::Decoder;
 
@@ -73,7 +76,8 @@ impl Snapshot {
     // --- Construction.
 
     /// Open `bytes` as a snapshot, validating only the header, section
-    /// table, and meta counts (see [`Layout::parse`]).
+    /// table, and meta section, whose counts are checked against the
+    /// section sizes.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot> {
         let layout = Layout::parse(&bytes)?;
         Ok(Snapshot {
@@ -99,21 +103,14 @@ impl Snapshot {
 
     /// Encode a whole dataset into an in-memory snapshot.
     pub fn encode(dataset: &ScanDataset) -> Result<Vec<u8>> {
-        let mut w = SnapshotWriter::new(Cursor::new(Vec::new()), dataset.scan_time)?;
-        for record in dataset.records() {
-            w.add(record)?;
-        }
-        Ok(w.finish()?.into_inner())
+        Ok(write_dataset(Cursor::new(Vec::new()), dataset)?.into_inner())
     }
 
     /// Write a dataset snapshot to `path`, returning the byte size.
+    /// Records stream to the file; only the pools are held in memory.
     pub fn write_file(path: impl AsRef<Path>, dataset: &ScanDataset) -> Result<u64> {
         let file = std::fs::File::create(path)?;
-        let mut w = SnapshotWriter::new(BufWriter::new(file), dataset.scan_time)?;
-        for record in dataset.records() {
-            w.add(record)?;
-        }
-        let mut out = w.finish()?;
+        let mut out = write_dataset(BufWriter::new(file), dataset)?;
         Ok(out.stream_position()?)
     }
 
@@ -130,7 +127,7 @@ impl Snapshot {
 
     /// Format version of the file (always [`crate::VERSION`] for now).
     pub fn version(&self) -> u32 {
-        self.layout.version
+        VERSION
     }
 
     /// The archived scan time.
@@ -140,7 +137,7 @@ impl Snapshot {
 
     /// The validated section table, in id order.
     pub fn sections(&self) -> &[Section] {
-        &self.layout.sections
+        &self.layout.table.sections
     }
 
     /// Number of host records.
@@ -182,19 +179,15 @@ impl Snapshot {
 
     // --- Lazy section access.
 
-    fn verified_payload(&self, id: SectionId) -> Result<&[u8]> {
-        self.layout
-            .verified_payload(&self.bytes, self.layout.section(id)?)
+    fn verified_payload(&self, id: u32) -> Result<&[u8]> {
+        self.layout.table.verified_payload(&self.bytes, id)
     }
 
     /// The decoded string pool (first touch verifies + decodes).
     fn strings(&self) -> Result<&[String]> {
         self.strings
             .get_or_init(|| {
-                decode_strings(
-                    self.verified_payload(SectionId::Strings)?,
-                    self.layout.string_count,
-                )
+                decode_strings(self.verified_payload(STRINGS)?, self.layout.string_count)
             })
             .as_deref()
             .map_err(StoreError::clone)
@@ -205,7 +198,7 @@ impl Snapshot {
         self.certs
             .get_or_init(|| {
                 decode_certs(
-                    self.verified_payload(SectionId::Certs)?,
+                    self.verified_payload(CERTS)?,
                     self.layout.cert_count,
                     self.strings()?,
                 )
@@ -219,7 +212,7 @@ impl Snapshot {
         self.caa
             .get_or_init(|| {
                 decode_caa(
-                    self.verified_payload(SectionId::Caa)?,
+                    self.verified_payload(CAA)?,
                     self.layout.caa_count,
                     self.strings()?,
                 )
@@ -231,11 +224,10 @@ impl Snapshot {
     /// The hosts-section payload, checksum verified exactly once.
     fn hosts_payload(&self) -> Result<&[u8]> {
         self.hosts_verified
-            .get_or_init(|| self.verified_payload(SectionId::Hosts).map(drop))
+            .get_or_init(|| self.verified_payload(HOSTS).map(drop))
             .clone()?;
         // Checksum verified above; plain bounds-checked access.
-        self.layout
-            .payload(&self.bytes, self.layout.section(SectionId::Hosts)?)
+        self.layout.table.payload(&self.bytes, HOSTS)
     }
 
     // --- Point queries.
@@ -311,14 +303,46 @@ impl Snapshot {
         Ok(assemble_dataset(records, self.layout.scan_time))
     }
 
-    /// A human-readable dump of the archive structure (see
-    /// [`crate::snapshot::SnapshotReader::describe`] — same renderer).
+    /// A human-readable dump of the archive structure: header line,
+    /// element counts, the section table with checksums, and the first
+    /// certificates of the content-addressed pool. All hex goes through
+    /// `govscan_crypto`'s one encoder.
     pub fn describe(&self) -> Result<String> {
-        Ok(render_describe(
-            &self.layout,
+        use std::fmt::Write as _;
+        let layout = &self.layout;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "govscan snapshot v{VERSION} · {} bytes · scan_time {:?}",
             self.bytes.len(),
-            self.certs()?,
-        ))
+            layout.scan_time.map(|t| t.0),
+        );
+        let _ = writeln!(
+            out,
+            "counts: {} hosts · {} certs · {} caa · {} strings",
+            layout.host_count, layout.cert_count, layout.caa_count, layout.string_count
+        );
+        for s in &layout.table.sections {
+            let _ = writeln!(
+                out,
+                "  section {:<8} id={} offset={:<10} len={:<10} fnv1a64={}",
+                s.name,
+                s.id,
+                s.offset,
+                s.len,
+                govscan_crypto::hex::encode(&s.checksum.to_be_bytes()),
+            );
+        }
+        for (i, meta) in self.certs()?.iter().take(5).enumerate() {
+            let _ = writeln!(
+                out,
+                "  cert[{i}] {} issuer={:?} serial={}",
+                meta.fingerprint.to_hex(),
+                meta.issuer,
+                meta.serial,
+            );
+        }
+        Ok(out)
     }
 
     // --- Laziness observability.
@@ -354,13 +378,21 @@ impl Snapshot {
     }
 }
 
+/// Stream every record of `dataset` through one [`SnapshotWriter`] into
+/// `out`, returning `out` positioned at the end of the archive.
+fn write_dataset<W: Write + Seek>(out: W, dataset: &ScanDataset) -> Result<W> {
+    let mut w = SnapshotWriter::new(out, dataset.scan_time)?;
+    w.append_records(dataset.records())?;
+    w.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Format-level construction tests live in `tests/roundtrip.rs`,
-    // which exercises both read surfaces against real worlds; here we
-    // only pin the pure-facade behaviours that need no dataset.
+    // which exercises the facade against real worlds; here we only pin
+    // the pure-facade behaviours that need no dataset.
 
     #[test]
     fn open_rejects_garbage() {

@@ -10,16 +10,17 @@
 //! * [`snapshot`] — a versioned binary format for [`ScanDataset`]:
 //!   magic/version header, checksummed sections, an interned string
 //!   table, a content-addressed certificate pool, and fixed-width host
-//!   records. [`snapshot::SnapshotWriter`] streams with bounded memory;
-//!   [`snapshot::SnapshotReader`] validates everything before decoding.
+//!   records. [`snapshot::SnapshotWriter`] streams with bounded memory.
+//!   Snapshots and deltas share one section container, parsed and
+//!   written by one piece of code.
 //! * [`lazy`] — the [`Snapshot`] facade: the one entry point for
 //!   archive I/O. Writing ([`Snapshot::encode`],
 //!   [`Snapshot::write_file`], [`Snapshot::digest_of`]) wraps the
 //!   streaming writer; reading opens cheap (header + section table +
 //!   meta only) and decodes sections on first touch, so point queries
 //!   — [`Snapshot::host`], [`Snapshot::host_by_name`] — never
-//!   materialize a full dataset. This is what the `govscan-serve`
-//!   daemon runs on.
+//!   materialize a full dataset, and [`Snapshot::dataset`] decodes the
+//!   whole archive. This is what the `govscan-serve` daemon runs on.
 //! * [`diff`] — host-level transitions between two snapshots: the
 //!   state-migration matrix, newly-valid/newly-broken hosts, HSTS and
 //!   chain churn, and per-country improvement rates.
@@ -38,6 +39,7 @@
 //!
 //! [`ScanDataset`]: govscan_scanner::ScanDataset
 
+mod container;
 pub mod delta;
 pub mod diff;
 pub mod error;
@@ -46,8 +48,9 @@ pub mod lazy;
 pub mod snapshot;
 pub mod wire;
 
+pub use container::Section;
 pub use delta::{Delta, DELTA_MAGIC, DELTA_VERSION};
 pub use diff::{diff_datasets, diff_snapshot_files, CountryDelta, HostState, SnapshotDiff};
 pub use error::{Result, StoreError};
 pub use lazy::Snapshot;
-pub use snapshot::{Section, SnapshotReader, SnapshotWriter, MAGIC, VERSION};
+pub use snapshot::{SnapshotWriter, MAGIC, VERSION};

@@ -1,4 +1,4 @@
-//! The versioned binary snapshot format: writer and reader.
+//! The versioned binary snapshot format: writer and section decoders.
 //!
 //! A snapshot is the durable, columnar form of one [`ScanDataset`]:
 //!
@@ -14,24 +14,24 @@
 //! table                 per section: id · offset · length · FNV-1a64
 //! ```
 //!
-//! The writer streams host records as they are added — memory stays
-//! bounded by the pools (strings, deduplicated certificates, CAA runs),
-//! never by the host count — and the reader validates the magic,
-//! version, and every section checksum before decoding a single record.
-//! Round-tripping is semantically lossless: the rebuilt dataset renders
-//! every analysis byte-identically (proven in tests and at paper scale
-//! in `benches/store.rs`), and re-encoding it reproduces the archive
-//! byte for byte, which is what makes [`crate::Snapshot::digest`] a
+//! The header and section table are the container shared with `GOVDLT1`
+//! deltas (see `container.rs`); this module defines what goes in the
+//! sections. The writer streams host records as they are appended —
+//! memory stays bounded by the pools (strings, deduplicated
+//! certificates, CAA runs), never by the host count. Round-tripping is
+//! semantically lossless: the rebuilt dataset renders every analysis
+//! byte-identically (proven in tests and at paper scale in
+//! `benches/store.rs`), and re-encoding it reproduces the archive byte
+//! for byte, which is what makes [`crate::Snapshot::digest`] a
 //! meaningful identity.
 //!
-//! Two read surfaces share the decode helpers in this module: the eager
-//! [`SnapshotReader`] here (validate everything, then decode), and the
-//! lazy [`crate::Snapshot`] facade in [`crate::lazy`] (open cheap,
-//! decode sections on first touch).
+//! Reading goes through the [`crate::Snapshot`] facade in
+//! [`crate::lazy`], which opens cheap and runs the section decoders in
+//! this module on first touch, verifying each section's checksum then.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Seek, Write};
 use std::net::Ipv4Addr;
 
 use govscan_crypto::{Fingerprint, KeyAlgorithm, SignatureAlgorithm};
@@ -42,6 +42,7 @@ use govscan_scanner::classify::{CertMeta, HttpsStatus};
 use govscan_scanner::dataset::HostingKind;
 use govscan_scanner::{ErrorCategory, ScanDataset, ScanRecord};
 
+use crate::container::{Container, ContainerWriter, Format};
 use crate::error::{Result, StoreError};
 use crate::intern::{intern_static, StringTable, NO_STRING};
 use crate::wire::{Checksum, Decoder, Encoder};
@@ -52,8 +53,25 @@ pub const MAGIC: [u8; 8] = *b"GOVSNAP1";
 /// Current format version.
 pub const VERSION: u32 = 1;
 
-/// Fixed header size: magic + version + reserved + table offset.
-const HEADER_LEN: u64 = 24;
+// Section ids, in section-table order.
+pub(crate) const META: u32 = 1;
+pub(crate) const STRINGS: u32 = 2;
+pub(crate) const CERTS: u32 = 3;
+pub(crate) const CAA: u32 = 4;
+pub(crate) const HOSTS: u32 = 5;
+
+/// The `GOVSNAP1` container.
+pub(crate) static FORMAT: Format = Format {
+    magic: MAGIC,
+    version: VERSION,
+    names: &[
+        (META, "meta"),
+        (STRINGS, "strings"),
+        (CERTS, "certs"),
+        (CAA, "caa"),
+        (HOSTS, "hosts"),
+    ],
+};
 
 /// Fixed-width encodings (v1).
 pub(crate) const HOST_RECORD_LEN: usize = 35;
@@ -62,44 +80,6 @@ const CAA_RECORD_LEN: usize = 5;
 
 /// Sentinel for "no certificate" in a host record.
 const NO_CERT: u32 = u32::MAX;
-
-/// Section identifiers, in the order they appear in the section table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
-pub(crate) enum SectionId {
-    Meta = 1,
-    Strings = 2,
-    Certs = 3,
-    Caa = 4,
-    Hosts = 5,
-}
-
-impl SectionId {
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            SectionId::Meta => "meta",
-            SectionId::Strings => "strings",
-            SectionId::Certs => "certs",
-            SectionId::Caa => "caa",
-            SectionId::Hosts => "hosts",
-        }
-    }
-}
-
-/// One entry of the decoded section table.
-#[derive(Debug, Clone, Copy)]
-pub struct Section {
-    /// Numeric section id (see the format sketch in the module docs).
-    pub id: u32,
-    /// Human-readable name.
-    pub name: &'static str,
-    /// Payload offset from the start of the snapshot.
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// FNV-1a 64 checksum of the payload.
-    pub checksum: u64,
-}
 
 // --- Enum codecs. Wire codes are positions in each type's stable `ALL`
 // --- order, so adding variants appends codes instead of renumbering.
@@ -156,14 +136,12 @@ const CF_SELF_ISSUED: u8 = 1 << 2;
 
 /// Streams a [`ScanDataset`] into the snapshot format.
 ///
-/// Host records are written to `out` as they are [`added`](Self::add);
-/// only the pools (strings, deduplicated certificates, CAA entries) are
-/// buffered until [`finish`](Self::finish).
+/// Host records are written to `out` as they are
+/// [appended](Self::append_records); only the pools (strings,
+/// deduplicated certificates, CAA entries) are buffered until
+/// [`finish`](Self::finish).
 pub struct SnapshotWriter<W: Write + Seek> {
-    out: W,
-    /// Stream position where this snapshot started (offsets are relative
-    /// to it, so snapshots can be embedded mid-stream).
-    base: u64,
+    container: ContainerWriter<W>,
     scan_time: Option<Time>,
     strings: StringTable,
     /// Content-addressed certificate pool: leaf fingerprint plus the
@@ -183,19 +161,9 @@ pub struct SnapshotWriter<W: Write + Seek> {
 
 impl<W: Write + Seek> SnapshotWriter<W> {
     /// Begin a snapshot at the writer's current position.
-    pub fn new(mut out: W, scan_time: Option<Time>) -> Result<SnapshotWriter<W>> {
-        let base = out.stream_position()?;
-        // Placeholder header; the table offset is backpatched by finish().
-        let mut header = Encoder::new();
-        header.bytes(&MAGIC);
-        header.u32(VERSION);
-        header.u32(0); // reserved
-        header.u64(0); // table offset placeholder
-        debug_assert_eq!(header.len() as u64, HEADER_LEN);
-        out.write_all(header.as_bytes())?;
+    pub fn new(out: W, scan_time: Option<Time>) -> Result<SnapshotWriter<W>> {
         Ok(SnapshotWriter {
-            out,
-            base,
+            container: ContainerWriter::new(out, &FORMAT)?,
             scan_time,
             strings: StringTable::new(),
             cert_ids: HashMap::new(),
@@ -266,7 +234,7 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     /// Append one record. Records keep their order; duplicate hostnames
     /// are stored as-is (the dataset they came from already resolved
     /// collisions — see [`ScanDataset::push`]).
-    pub fn add(&mut self, record: &ScanRecord) -> Result<()> {
+    fn add(&mut self, record: &ScanRecord) -> Result<()> {
         // CAA run for this host, appended to the pool.
         let caa_offset = self.caa_count;
         let caa_len = u16::try_from(record.caa.len())
@@ -335,7 +303,7 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         e.u16(caa_len);
         debug_assert_eq!(e.len(), HOST_RECORD_LEN);
 
-        self.out.write_all(e.as_bytes())?;
+        self.container.out.write_all(e.as_bytes())?;
         // Bookkeeping only after the bytes are down, so a failed write
         // leaves the counters describing what actually reached the sink.
         self.hosts_checksum.update(e.as_bytes());
@@ -353,8 +321,8 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     /// record in one pass.
     ///
     /// On error the writer is left mid-stream and should be dropped: the
-    /// partial archive has no section table and will be rejected by
-    /// [`Layout::parse`] as truncated.
+    /// partial archive has no section table, so opening it fails as
+    /// truncated.
     pub fn append_records<'r>(
         &mut self,
         records: impl IntoIterator<Item = &'r ScanRecord>,
@@ -393,13 +361,9 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     /// so archives stay byte-identical at any worker count, which is
     /// what keeps [`crate::Snapshot::digest`] a meaningful identity.
     pub fn finish(mut self) -> Result<W> {
-        let hosts = Section {
-            id: SectionId::Hosts as u32,
-            name: SectionId::Hosts.name(),
-            offset: HEADER_LEN,
-            len: self.hosts_len,
-            checksum: self.hosts_checksum.value(),
-        };
+        // The streamed host records sit right after the header.
+        self.container
+            .written(HOSTS, self.hosts_len, self.hosts_checksum.value());
 
         let mut meta = Encoder::new();
         match self.scan_time {
@@ -423,14 +387,14 @@ impl<W: Write + Seek> SnapshotWriter<W> {
             Ready(&'a [u8]),
             Strings(&'a StringTable),
         }
-        let jobs: Vec<(SectionId, Pool<'_>)> = vec![
-            (SectionId::Caa, Pool::Ready(self.caa.as_bytes())),
-            (SectionId::Certs, Pool::Ready(self.certs.as_bytes())),
-            (SectionId::Strings, Pool::Strings(&self.strings)),
-            (SectionId::Meta, Pool::Ready(meta.as_bytes())),
+        let jobs: Vec<(u32, Pool<'_>)> = vec![
+            (CAA, Pool::Ready(self.caa.as_bytes())),
+            (CERTS, Pool::Ready(self.certs.as_bytes())),
+            (STRINGS, Pool::Strings(&self.strings)),
+            (META, Pool::Ready(meta.as_bytes())),
         ];
         let threads = govscan_exec::resolve_threads("GOVSCAN_STORE_THREADS");
-        let encoded: Vec<(SectionId, Cow<'_, [u8]>, u64)> =
+        let encoded: Vec<(u32, Cow<'_, [u8]>, u64)> =
             govscan_exec::par_map(threads, jobs, |_, (id, pool)| {
                 let payload: Cow<'_, [u8]> = match pool {
                     Pool::Ready(bytes) => Cow::Borrowed(bytes),
@@ -448,49 +412,18 @@ impl<W: Write + Seek> SnapshotWriter<W> {
             });
 
         // Pools follow the streamed host section, in canonical order.
-        let mut cursor = HEADER_LEN + self.hosts_len;
-        let mut table = vec![hosts];
         for (id, payload, checksum) in &encoded {
-            self.out.write_all(payload)?;
-            table.push(Section {
-                id: *id as u32,
-                name: id.name(),
-                offset: cursor,
-                len: payload.len() as u64,
-                checksum: *checksum,
-            });
-            cursor += payload.len() as u64;
+            self.container.section(*id, payload, *checksum)?;
         }
-
-        let table_offset = cursor;
-        let mut t = Encoder::new();
-        t.u32(table.len() as u32);
-        table.sort_by_key(|s| s.id);
-        for s in &table {
-            t.u32(s.id);
-            t.u64(s.offset);
-            t.u64(s.len);
-            t.u64(s.checksum);
-        }
-        self.out.write_all(t.as_bytes())?;
-
-        // Backpatch the table offset in the header.
-        self.out.seek(SeekFrom::Start(self.base + 16))?;
-        self.out.write_all(&table_offset.to_le_bytes())?;
-        self.out
-            .seek(SeekFrom::Start(self.base + table_offset + t.len() as u64))?;
-        self.out.flush()?;
-        Ok(self.out)
+        self.container.finish()
     }
 }
 
-/// The parsed skeleton of a snapshot, shared by the eager
-/// [`SnapshotReader`] and the lazy [`crate::Snapshot`] facade: header
-/// fields, the section table, and the (tiny, always-verified) meta
-/// section's counts. Parsing it touches none of the pool payloads.
+/// The parsed skeleton of a snapshot: the section table and the (tiny,
+/// always-verified) meta section's counts. Parsing it touches none of
+/// the pool payloads.
 pub(crate) struct Layout {
-    /// Format version of the file (always [`VERSION`] for now).
-    pub(crate) version: u32,
+    pub(crate) table: Container,
     /// The archived scan time.
     pub(crate) scan_time: Option<Time>,
     /// Number of host records.
@@ -498,145 +431,56 @@ pub(crate) struct Layout {
     pub(crate) cert_count: u64,
     pub(crate) caa_count: u64,
     pub(crate) string_count: u64,
-    pub(crate) sections: Vec<Section>,
 }
 
 impl Layout {
     /// Parse and structurally validate `bytes` as a snapshot.
     ///
-    /// Checks, in order: magic, version, header/table bounds, presence
-    /// of all v1 sections, the meta section's checksum (41 bytes — the
-    /// one payload cheap enough to always verify), and the meta counts
-    /// against the fixed-width section payload sizes. Pool payloads are
-    /// *not* checksummed here; the eager reader does that up front, the
-    /// lazy facade on first touch. Any failure is a typed
-    /// [`StoreError`] — never a panic.
+    /// Checks, in order: the container (magic, version, table bounds),
+    /// presence of all v1 sections, the meta section's checksum (41
+    /// bytes — the one payload cheap enough to always verify), and the
+    /// meta counts against the section payload sizes, so no count can
+    /// size an allocation the file could not fill. Pool payloads are
+    /// *not* checksummed here; [`crate::Snapshot`] verifies each on
+    /// first touch. Any failure is a typed [`StoreError`] — never a
+    /// panic.
     pub(crate) fn parse(bytes: &[u8]) -> Result<Layout> {
-        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-            if bytes.len() >= MAGIC.len() {
-                return Err(StoreError::BadMagic {
-                    found: bytes[..MAGIC.len()].to_vec(),
-                });
-            }
-            // Too short to even hold the magic: an empty or chopped file.
-            if bytes.is_empty() || !MAGIC.starts_with(bytes) {
-                return Err(StoreError::BadMagic {
-                    found: bytes.to_vec(),
-                });
-            }
-            return Err(StoreError::Truncated { context: "header" });
-        }
-        let mut header = Decoder::new(bytes, "header");
-        header.bytes(MAGIC.len())?;
-        let version = header.u32()?;
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let _reserved = header.u32()?;
-        let table_offset = header.u64()?;
-        let table_bytes = usize::try_from(table_offset)
-            .ok()
-            .and_then(|o| bytes.get(o..))
-            .ok_or(StoreError::Truncated {
-                context: "section table",
-            })?;
-        let mut table = Decoder::new(table_bytes, "section table");
-        let count = table.u32()?;
-        let mut sections = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let id = table.u32()?;
-            let offset = table.u64()?;
-            let len = table.u64()?;
-            let checksum = table.u64()?;
-            let name = match id {
-                x if x == SectionId::Meta as u32 => SectionId::Meta.name(),
-                x if x == SectionId::Strings as u32 => SectionId::Strings.name(),
-                x if x == SectionId::Certs as u32 => SectionId::Certs.name(),
-                x if x == SectionId::Caa as u32 => SectionId::Caa.name(),
-                x if x == SectionId::Hosts as u32 => SectionId::Hosts.name(),
-                // Unknown sections from future minor revisions are
-                // tolerated (and checksummed) but not decoded.
-                _ => "unknown",
-            };
-            sections.push(Section {
-                id,
-                name,
-                offset,
-                len,
-                checksum,
-            });
-        }
-        let mut layout = Layout {
-            version,
-            scan_time: None,
-            host_count: 0,
-            cert_count: 0,
-            caa_count: 0,
-            string_count: 0,
-            sections,
-        };
-        let meta_payload = layout.verified_payload(bytes, layout.section(SectionId::Meta)?)?;
-        let mut meta = Decoder::new(meta_payload, "meta");
+        let table = Container::parse(bytes, &FORMAT)?;
+        let mut meta = Decoder::new(table.verified_payload(bytes, META)?, "meta");
         let has_time = meta.u8()?;
         let time = meta.i64()?;
-        layout.scan_time = (has_time != 0).then_some(Time(time));
-        layout.host_count = meta.u64()?;
-        layout.cert_count = meta.u64()?;
-        layout.caa_count = meta.u64()?;
-        layout.string_count = meta.u64()?;
+        let layout = Layout {
+            scan_time: (has_time != 0).then_some(Time(time)),
+            host_count: meta.u64()?,
+            cert_count: meta.u64()?,
+            caa_count: meta.u64()?,
+            string_count: meta.u64()?,
+            table,
+        };
         meta.finish()?;
 
-        // Cross-validate counts against fixed-width payload sizes.
-        let check = |id: SectionId, count: u64, width: usize| -> Result<()> {
-            let len = layout.section(id)?.len;
-            if len != count * width as u64 {
-                return Err(StoreError::Corrupt {
-                    context: id.name(),
-                    detail: format!("{len} bytes for {count} records of {width}"),
-                });
-            }
-            Ok(())
-        };
-        check(SectionId::Hosts, layout.host_count, HOST_RECORD_LEN)?;
-        check(SectionId::Certs, layout.cert_count, CERT_RECORD_LEN)?;
-        check(SectionId::Caa, layout.caa_count, CAA_RECORD_LEN)?;
-        Ok(layout)
-    }
-
-    pub(crate) fn section(&self, id: SectionId) -> Result<&Section> {
-        self.sections
-            .iter()
-            .find(|s| s.id == id as u32)
-            .ok_or(StoreError::Corrupt {
-                context: "section table",
-                detail: format!("missing required section {:?}", id.name()),
-            })
-    }
-
-    /// Bounds-checked payload slice of one section.
-    pub(crate) fn payload<'b>(&self, bytes: &'b [u8], s: &Section) -> Result<&'b [u8]> {
-        let start =
-            usize::try_from(s.offset).map_err(|_| StoreError::Truncated { context: s.name })?;
-        let len = usize::try_from(s.len).map_err(|_| StoreError::Truncated { context: s.name })?;
-        start
-            .checked_add(len)
-            .and_then(|end| bytes.get(start..end))
-            .ok_or(StoreError::Truncated { context: s.name })
-    }
-
-    /// Payload slice with its FNV-1a checksum verified.
-    pub(crate) fn verified_payload<'b>(&self, bytes: &'b [u8], s: &Section) -> Result<&'b [u8]> {
-        let payload = self.payload(bytes, s)?;
-        if Checksum::of(payload) != s.checksum {
-            return Err(StoreError::ChecksumMismatch { section: s.name });
+        let table = &layout.table;
+        table.check_len(HOSTS, layout.host_count, HOST_RECORD_LEN)?;
+        table.check_len(CERTS, layout.cert_count, CERT_RECORD_LEN)?;
+        table.check_len(CAA, layout.caa_count, CAA_RECORD_LEN)?;
+        // Strings vary in length, but each carries a 4-byte prefix.
+        let strings_len = table.section(STRINGS)?.len;
+        if layout.string_count > strings_len / 4 {
+            return Err(StoreError::Corrupt {
+                context: "strings",
+                detail: format!(
+                    "{} strings cannot fit in {strings_len} bytes",
+                    layout.string_count
+                ),
+            });
         }
-        Ok(payload)
+        Ok(layout)
     }
 }
 
-// --- Section decoders, shared by the eager and lazy read paths. Each
-// --- takes a (bounds-checked, checksum-verified) payload slice plus the
-// --- element count cross-validated by `Layout::parse`.
+// --- Section decoders. Each takes a (bounds-checked, checksum-verified)
+// --- payload slice plus the element count cross-validated by
+// --- `Layout::parse`.
 
 pub(crate) fn decode_strings(payload: &[u8], count: u64) -> Result<Vec<String>> {
     let mut d = Decoder::new(payload, "strings");
@@ -733,8 +577,8 @@ pub(crate) fn decode_caa(payload: &[u8], count: u64, strings: &[String]) -> Resu
 }
 
 /// Decode one fixed-width host record from `d`, resolving pool
-/// references. The hot loop of [`SnapshotReader::dataset`] and the whole
-/// of the lazy facade's by-index host access.
+/// references. The hot loop of [`crate::Snapshot::dataset`] and the
+/// whole of its by-index host access.
 pub(crate) fn decode_host_record(
     d: &mut Decoder<'_>,
     strings: &[String],
@@ -857,170 +701,4 @@ pub(crate) fn assemble_dataset(records: Vec<ScanRecord>, scan_time: Option<Time>
     };
     dataset.scan_time = scan_time;
     dataset
-}
-
-/// Render the shared human-readable archive dump used by both read
-/// surfaces: header line, element counts, section table, and the first
-/// certificates of the content-addressed pool. All hex goes through
-/// `govscan_crypto`'s one encoder.
-pub(crate) fn render_describe(layout: &Layout, total_bytes: usize, certs: &[CertMeta]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "govscan snapshot v{} · {total_bytes} bytes · scan_time {:?}",
-        layout.version,
-        layout.scan_time.map(|t| t.0),
-    );
-    let _ = writeln!(
-        out,
-        "counts: {} hosts · {} certs · {} caa · {} strings",
-        layout.host_count, layout.cert_count, layout.caa_count, layout.string_count
-    );
-    for s in &layout.sections {
-        let _ = writeln!(
-            out,
-            "  section {:<8} id={} offset={:<10} len={:<10} fnv1a64={}",
-            s.name,
-            s.id,
-            s.offset,
-            s.len,
-            govscan_crypto::hex::encode(&s.checksum.to_be_bytes()),
-        );
-    }
-    for (i, meta) in certs.iter().take(5).enumerate() {
-        let _ = writeln!(
-            out,
-            "  cert[{i}] {} issuer={:?} serial={}",
-            meta.fingerprint.to_hex(),
-            meta.issuer,
-            meta.serial,
-        );
-    }
-    out
-}
-
-/// A validated snapshot: header and section table parsed, every section
-/// checksum verified **up front**. Decoding into a [`ScanDataset`] is a
-/// second, explicit step ([`Self::dataset`]).
-///
-/// This is the *eager* read surface: pay the full validation cost at
-/// construction, then decode knowing the bytes are clean. For the
-/// serve-many access pattern — open once, answer point queries — use the
-/// lazy [`crate::Snapshot`] facade instead, which defers section
-/// checksums and decoding to first touch.
-pub struct SnapshotReader<'a> {
-    bytes: &'a [u8],
-    layout: Layout,
-}
-
-impl<'a> SnapshotReader<'a> {
-    /// Parse and validate `bytes` as a snapshot.
-    ///
-    /// Runs [`Layout::parse`] (magic, version, bounds, meta counts) and
-    /// then verifies every section's checksum before returning. A
-    /// damaged archive is rejected before any decoding starts. Sections
-    /// are checksummed concurrently for archives large enough to
-    /// amortise pool startup; results are inspected in table order so
-    /// the same section is reported first at any worker count.
-    pub fn new(bytes: &'a [u8]) -> Result<SnapshotReader<'a>> {
-        let layout = Layout::parse(bytes)?;
-        let threads = if bytes.len() >= (1 << 20) {
-            govscan_exec::resolve_threads("GOVSCAN_STORE_THREADS")
-        } else {
-            1
-        };
-        let checks: Vec<Result<()>> =
-            govscan_exec::par_map_indexed(threads, layout.sections.len(), |i| {
-                layout
-                    .verified_payload(bytes, &layout.sections[i])
-                    .map(drop)
-            });
-        for check in checks {
-            check?;
-        }
-        Ok(SnapshotReader { bytes, layout })
-    }
-
-    /// Format version of the file (always [`VERSION`] for now).
-    pub fn version(&self) -> u32 {
-        self.layout.version
-    }
-
-    /// The archived scan time.
-    pub fn scan_time(&self) -> Option<Time> {
-        self.layout.scan_time
-    }
-
-    /// The validated section table, in id order.
-    pub fn sections(&self) -> &[Section] {
-        &self.layout.sections
-    }
-
-    /// Number of host records.
-    pub fn host_count(&self) -> u64 {
-        self.layout.host_count
-    }
-
-    /// Entries in the content-addressed certificate pool.
-    pub fn cert_count(&self) -> u64 {
-        self.layout.cert_count
-    }
-
-    /// Entries in the CAA pool.
-    pub fn caa_count(&self) -> u64 {
-        self.layout.caa_count
-    }
-
-    /// Entries in the string table.
-    pub fn string_count(&self) -> u64 {
-        self.layout.string_count
-    }
-
-    fn section_payload(&self, id: SectionId) -> Result<&'a [u8]> {
-        // Checksums were verified by `new`; plain bounds-checked access.
-        self.layout.payload(self.bytes, self.layout.section(id)?)
-    }
-
-    fn decode_strings(&self) -> Result<Vec<String>> {
-        decode_strings(
-            self.section_payload(SectionId::Strings)?,
-            self.layout.string_count,
-        )
-    }
-
-    /// Rebuild the archived [`ScanDataset`].
-    pub fn dataset(&self) -> Result<ScanDataset> {
-        let strings = self.decode_strings()?;
-        let certs = decode_certs(
-            self.section_payload(SectionId::Certs)?,
-            self.layout.cert_count,
-            &strings,
-        )?;
-        let caa = decode_caa(
-            self.section_payload(SectionId::Caa)?,
-            self.layout.caa_count,
-            &strings,
-        )?;
-        let mut d = Decoder::new(self.section_payload(SectionId::Hosts)?, "hosts");
-        let mut records = Vec::with_capacity(self.layout.host_count as usize);
-        for _ in 0..self.layout.host_count {
-            records.push(decode_host_record(&mut d, &strings, &certs, &caa)?);
-        }
-        d.finish()?;
-        Ok(assemble_dataset(records, self.layout.scan_time))
-    }
-
-    /// A human-readable dump of the archive structure: section table
-    /// with checksums, element counts, and the first certificates of the
-    /// content-addressed pool.
-    pub fn describe(&self) -> Result<String> {
-        let strings = self.decode_strings()?;
-        let certs = decode_certs(
-            self.section_payload(SectionId::Certs)?,
-            self.layout.cert_count,
-            &strings,
-        )?;
-        Ok(render_describe(&self.layout, self.bytes.len(), &certs))
-    }
 }

@@ -6,16 +6,18 @@
 //! 2. **Corruption robustness** — every way a file can be damaged
 //!    (truncation, foreign bytes, future version, bit rot) surfaces as
 //!    the matching typed [`StoreError`], never a panic and never a
-//!    silently partial dataset — on *both* read surfaces: the eager
-//!    [`SnapshotReader`] (checksums at open) and the lazy [`Snapshot`]
-//!    facade (checksums on first touch).
+//!    silently partial dataset — whether it shows at open (structure)
+//!    or on a section's first touch (checksums, references) through the
+//!    [`Snapshot`] facade.
 
 use std::sync::OnceLock;
 
 use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::{choropleth, durations, ev, hsts, issuers, keys, table2};
+use std::collections::HashSet;
+
 use govscan_scanner::{ScanDataset, StudyPipeline};
-use govscan_store::{Snapshot, SnapshotReader, StoreError, MAGIC, VERSION};
+use govscan_store::{Snapshot, StoreError, MAGIC, VERSION};
 use govscan_worldgen::{World, WorldConfig};
 
 /// One small-but-real scan, shared across tests.
@@ -78,24 +80,6 @@ fn round_trip_is_semantically_lossless() {
 }
 
 #[test]
-fn eager_and_lazy_surfaces_agree() {
-    let eager = SnapshotReader::new(snapshot())
-        .expect("valid snapshot")
-        .dataset()
-        .expect("decodes");
-    let lazy = read_lazy(snapshot()).expect("decodes");
-    assert_eq!(eager.len(), lazy.len());
-    assert_eq!(eager.scan_time, lazy.scan_time);
-    for (a, b) in eager.records().iter().zip(lazy.records()) {
-        assert_eq!(a, b, "{} must decode identically on both paths", a.hostname);
-    }
-    // Shared describe renderer too.
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
-    let snap = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
-    assert_eq!(reader.describe().unwrap(), snap.describe().unwrap());
-}
-
-#[test]
 fn lazy_point_queries_match_dataset_without_building_one() {
     let snap = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
     assert_eq!(
@@ -134,14 +118,22 @@ fn lazy_point_queries_match_dataset_without_building_one() {
         snap.decoded_sections(),
         vec!["strings", "certs", "caa", "hosts", "by_host"]
     );
-    // Header-level accessors agree with the eager reader's.
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
-    assert_eq!(snap.host_count(), reader.host_count());
-    assert_eq!(snap.cert_count(), reader.cert_count());
-    assert_eq!(snap.caa_count(), reader.caa_count());
-    assert_eq!(snap.string_count(), reader.string_count());
-    assert_eq!(snap.version(), reader.version());
-    assert_eq!(snap.scan_time(), reader.scan_time());
+    // Header-level accessors agree with the dataset the archive holds:
+    // one pool entry per distinct (leaf, chain length), one CAA entry
+    // per record's CAA record.
+    let certs: HashSet<_> = expected
+        .records()
+        .iter()
+        .filter_map(|r| r.https.meta())
+        .map(|m| (m.fingerprint, m.chain_len))
+        .collect();
+    let caa: usize = expected.records().iter().map(|r| r.caa.len()).sum();
+    assert_eq!(snap.host_count(), expected.len() as u64);
+    assert_eq!(snap.cert_count(), certs.len() as u64);
+    assert_eq!(snap.caa_count(), caa as u64);
+    assert!(snap.string_count() > 0);
+    assert_eq!(snap.version(), VERSION);
+    assert_eq!(snap.scan_time(), expected.scan_time);
 }
 
 #[test]
@@ -194,7 +186,7 @@ fn encoding_is_worker_count_invariant() {
 
 #[test]
 fn snapshot_deduplicates_certificates() {
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
+    let reader = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
     let with_cert = scan()
         .records()
         .iter()
@@ -212,6 +204,9 @@ fn snapshot_deduplicates_certificates() {
     let describe = reader.describe().expect("describe");
     assert!(describe.contains("hosts"), "{describe}");
     assert!(describe.contains("fnv1a64="), "{describe}");
+    // A second instance describes the archive the same way.
+    let again = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
+    assert_eq!(again.describe().expect("describe"), describe);
 }
 
 #[test]
@@ -251,34 +246,26 @@ fn truncation_never_panics_and_never_yields_data() {
         .chain([1, 7, 8, 15, 23, 24, bytes.len() - 1])
         .collect();
     for cut in cuts {
-        for (surface, result) in [
-            (
-                "eager",
-                SnapshotReader::new(&bytes[..cut]).and_then(|r| r.dataset()),
+        let err = read_lazy(&bytes[..cut])
+            .err()
+            .unwrap_or_else(|| panic!("truncation at {cut} bytes must not yield a dataset"));
+        assert!(
+            matches!(
+                err,
+                StoreError::BadMagic { .. }
+                    | StoreError::Truncated { .. }
+                    | StoreError::ChecksumMismatch { .. }
+                    | StoreError::Corrupt { .. }
             ),
-            ("lazy", read_lazy(&bytes[..cut])),
-        ] {
-            let err = result.err().unwrap_or_else(|| {
-                panic!("{surface}: truncation at {cut} bytes must not yield a dataset")
-            });
-            assert!(
-                matches!(
-                    err,
-                    StoreError::BadMagic { .. }
-                        | StoreError::Truncated { .. }
-                        | StoreError::ChecksumMismatch { .. }
-                        | StoreError::Corrupt { .. }
-                ),
-                "{surface}: unexpected error at cut {cut}: {err:?}"
-            );
-        }
+            "unexpected error at cut {cut}: {err:?}"
+        );
     }
 }
 
 #[test]
 fn flipped_byte_is_a_checksum_mismatch() {
     let bytes = snapshot();
-    let reader = SnapshotReader::new(bytes).expect("valid snapshot");
+    let reader = Snapshot::from_bytes(bytes.clone()).expect("valid snapshot");
     // Flip one byte inside each section's payload.
     let targets: Vec<(usize, &'static str)> = reader
         .sections()
@@ -289,23 +276,14 @@ fn flipped_byte_is_a_checksum_mismatch() {
     for (offset, section) in targets {
         let mut damaged = bytes.clone();
         damaged[offset] ^= 0x01;
-        // Both surfaces must attribute the damage to its section — the
-        // eager reader at open, the lazy facade when the section is
-        // first touched during the full decode.
-        for (surface, result) in [
-            (
-                "eager",
-                SnapshotReader::new(&damaged).and_then(|r| r.dataset()),
-            ),
-            ("lazy", read_lazy(&damaged)),
-        ] {
-            match result {
-                Err(StoreError::ChecksumMismatch { section: got }) => {
-                    assert_eq!(got, section, "{surface}: damage attributed to its section")
-                }
-                other => panic!(
-                    "{surface}: flip in {section} at {offset}: expected ChecksumMismatch, got {other:?}"
-                ),
+        // The damage is attributed to its section when the full decode
+        // first touches it.
+        match read_lazy(&damaged) {
+            Err(StoreError::ChecksumMismatch { section: got }) => {
+                assert_eq!(got, section, "damage attributed to its section")
+            }
+            other => {
+                panic!("flip in {section} at {offset}: expected ChecksumMismatch, got {other:?}")
             }
         }
     }
@@ -315,7 +293,7 @@ fn flipped_byte_is_a_checksum_mismatch() {
 fn corrupt_section_error_is_cached_not_retried() {
     // Damage the certs pool; the lazy facade must fail on first touch
     // and keep handing back the same (cloned) error afterwards.
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
+    let reader = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
     let certs = reader
         .sections()
         .iter()
@@ -341,7 +319,7 @@ fn dangling_references_are_corruption_not_panics() {
     // points at a string id that does not exist, with checksums
     // recomputed so only reference validation can catch it.
     let bytes = snapshot();
-    let reader = SnapshotReader::new(bytes).expect("valid snapshot");
+    let reader = Snapshot::from_bytes(bytes.clone()).expect("valid snapshot");
     let hosts = reader
         .sections()
         .iter()

@@ -117,7 +117,7 @@ impl EvolveConfig {
 /// bookkeeping the mutation streams and the realizer need.
 #[derive(Debug, Clone)]
 pub struct EpochHost {
-    /// Ground truth, as [`worldwide_country_records`] shapes it.
+    /// Ground truth, as `worldwide_country_records` shapes it.
     pub record: HostRecord,
     /// Bumped on every behaviour change. Selects the host's realization
     /// RNG stream, so an unchanged host re-realizes identically and a

@@ -141,7 +141,7 @@ pub fn stream_shards(config: &WorldConfig) -> StreamPlan {
 ///    [`World::generate`] uses) and immediately reduced to what the
 ///    plan needs: ranked-pool membership draws in global host order, and
 ///    a capped per-country candidate prefix for the cluster walk.
-/// 2. **§5.3.3 cluster plan** — [`plan_reuse_clusters`], RNG-free.
+/// 2. **§5.3.3 cluster plan** — `plan_reuse_clusters`, RNG-free.
 /// 3. **Tranco** — the `("rankings", "")` stream, stopping where the
 ///    materialized path moves on to the majestic list (which only feeds
 ///    discovery, not the scanned population).

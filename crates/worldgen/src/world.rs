@@ -8,7 +8,7 @@
 //! in a fixed order. The same seed therefore produces the same Internet
 //! byte for byte at any worker count — see DESIGN.md §9.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use govscan_asn1::Time;
@@ -365,10 +365,11 @@ impl Generator {
         // Hand-curation does not grow with the world: saturates at the
         // paper's 596 entries (discovery scale).
         let extra = self.config.discovery_scaled(WHITELIST_EXTRA) as usize;
+        let taken: HashSet<&str> = seed.iter().chain(&whitelist).map(String::as_str).collect();
         let mut candidates: Vec<String> = self
             .gov_hosts
             .iter()
-            .filter(|h| !seed.contains(h) && !whitelist.contains(h))
+            .filter(|h| !taken.contains(h.as_str()))
             .cloned()
             .collect();
         candidates.shuffle(&mut rng);

@@ -16,6 +16,9 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --release --workspace
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Docs build warning-free, so an intra-doc link to a removed or private
+# item fails here instead of rotting silently.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # Smoke-run the aggregation bench on a shrunken dataset: exercises the
 # repeated-walk vs single-pass path end to end without emitting (or
 # perturbing) the full-scale BENCH_scan.json artifact.

@@ -28,13 +28,16 @@
 //! ## Quickstart
 //!
 //! ```
+//! use govscan::analysis::aggregate::AggregateIndex;
 //! use govscan::worldgen::{World, WorldConfig};
 //! use govscan::scanner::pipeline::StudyPipeline;
 //!
 //! // A small world: ~1% of the paper's scale, fully deterministic.
 //! let world = World::generate(&WorldConfig::small(42));
 //! let study = StudyPipeline::new(&world).run();
-//! let t2 = govscan::analysis::table2::build(&study.scan);
+//! // One pass over the scan feeds every report.
+//! let index = AggregateIndex::build(&study.scan);
+//! let t2 = govscan::analysis::table2::build_from_index(&index);
 //! assert!(t2.total > 0);
 //! ```
 
