@@ -212,6 +212,13 @@ mod tests {
         let m = tmp("mat");
         let reference = materialize_scan_archive(&cfg, &m).expect("materialized arm");
         assert!(reference.hosts > 500, "world is non-trivial");
+        // Both arms draw their population from `StreamPlan`, so their
+        // equality alone cannot show the archive is unchanged; this
+        // digest, recorded before they shared a generator, can.
+        assert_eq!(
+            reference.digest, "fe9a288f693d8a76e5d07e7426a814a5d5a2ef30e4d7ead6955c6e53061b2262",
+            "materialized archive"
+        );
         // Thread count and window size must both be invisible in the
         // archive bytes; window=1 is the degenerate strict-alternation
         // pipeline.

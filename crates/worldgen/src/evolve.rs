@@ -40,7 +40,6 @@
 use std::collections::HashSet;
 
 use govscan_asn1::Time;
-use govscan_net::dns::DnsBehavior;
 use govscan_net::SimNet;
 use rand::Rng;
 
@@ -50,7 +49,7 @@ use crate::hostgen::HostnameGen;
 use crate::hosting::HostingAssigner;
 use crate::posture::{self, PostureRates};
 use crate::stream::{stream_shards, StreamPlan, StreamSeeder};
-use crate::world::{cloud_share, worldwide_country_records, Realizer};
+use crate::world::cloud_share;
 
 /// Per-epoch mutation rates. Defaults ([`EvolveConfig::weekly`]) are
 /// tuned for weekly epochs: renewal pressure matches ~90-day automated
@@ -186,23 +185,10 @@ impl MonitorPlan {
     /// generator's records with §5.3.3 cluster postures applied, plus a
     /// scheduled validity window for every valid-https host.
     pub fn shard_base(&self, idx: usize) -> Vec<EpochHost> {
-        let country = self.plan.countries()[idx];
-        let seeder = self.plan.seeder();
-        let mut records = worldwide_country_records(
-            self.plan.config(),
-            seeder,
-            country,
-            self.plan.total_weight(),
-        );
-        for rec in &mut records {
-            if let Some(&ci) = self.plan.shared_chain_of().get(&rec.hostname) {
-                rec.posture = Posture::InvalidHttps {
-                    error: self.plan.clusters()[ci].error,
-                };
-            }
-        }
+        let seeder = self.plan.seeder;
         let base_time = self.plan.scan_time();
-        records
+        self.plan
+            .shard_records(idx)
             .into_iter()
             .map(|record| {
                 let window = record
@@ -225,8 +211,8 @@ impl MonitorPlan {
     /// `(label@epoch, hostname)`, so the result does not depend on how
     /// the caller got to `epoch - 1`.
     pub fn advance_shard(&self, idx: usize, state: &mut Vec<EpochHost>, epoch: u32) {
-        let country = self.plan.countries()[idx];
-        let seeder = self.plan.seeder();
+        let country = self.plan.countries[idx];
+        let seeder = self.plan.seeder;
         let ev = &self.evolve;
         let now = self.epoch_time(epoch);
         let in_window = |h: &EpochHost| {
@@ -426,27 +412,10 @@ impl MonitorPlan {
         for &i in indices {
             let h = &state[i];
             let shard = format!("{}@g{}", h.record.hostname, h.generation);
-            let mut r = Realizer::for_shard(
-                self.plan.config(),
-                self.plan.cadb(),
-                self.plan.clusters(),
-                self.plan.shared_chain_of(),
-                self.plan.seeder(),
-                "evolve",
-                &shard,
-            );
+            let mut r = self.plan.realizer("evolve", &shard);
             r.set_validity_override(h.window);
             r.realize(h.record.clone(), &[]);
-            let batch = r.into_batch();
-            for host in batch.hosts {
-                net.add_host(host);
-            }
-            for name in batch.dns_timeouts {
-                net.set_dns_behavior(&name, DnsBehavior::Timeout);
-            }
-            for (name, set) in batch.caa {
-                net.dns.publish_caa(&name, set);
-            }
+            r.into_batch().install(&mut net);
         }
         net
     }

@@ -12,27 +12,23 @@
 //! shard's content is a pure function of `(config, seeder, shard)`, a
 //! country's hosts can be generated, handed to a consumer, and *dropped*
 //! — then regenerated bit-identically on demand. [`stream_shards`] runs
-//! the cheap cross-shard planning walk once (rankings, §5.3.3 clusters)
+//! the cheap cross-shard planning walk once (Tranco, §5.3.3 clusters)
 //! and then yields one [`ShardWorld`] per country in deterministic shard
 //! order, never holding more than the in-flight shards in memory. The
-//! streamed generate→scan→archive pipeline in `govscan-repro` is built
-//! on it; DESIGN.md §14 has the determinism argument.
+//! plan is the only generator of the worldwide government population:
+//! [`World::generate`] realizes every shard of it into one world, the
+//! streamed generate→scan→archive pipeline in `govscan-repro` scans the
+//! shards one at a time, and the evolution model starts each shard's
+//! epochs from it. DESIGN.md §14 has the determinism argument.
 //!
-//! The worker pool itself lives in [`govscan_exec`]: shards run on the
-//! shared work-stealing chunked executor ([`par_map`] is a re-export),
-//! which replaced the per-item rendezvous-channel dispatch this module
-//! used to carry. The old path claimed chunking "would only serialize
-//! the tail"; measurement said otherwise — the per-item lock + rendezvous
-//! put the pool at 0.92× *serial* at 2 workers (`BENCH_worldgen.json`),
-//! while contiguous chunk seeding with half-batch stealing keeps the
-//! tail balanced at a fraction of the coordination cost (DESIGN.md §11).
+//! Shards run on the shared work-stealing executor of [`govscan_exec`]
+//! ([`par_map`] is a re-export; DESIGN.md §11).
 //!
 //! [`World::generate`]: crate::World::generate
 
 use std::collections::HashMap;
 
 use govscan_asn1::Time;
-use govscan_net::dns::DnsBehavior;
 use govscan_net::SimNet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,11 +36,11 @@ use rand::SeedableRng;
 use crate::cadb::CaDb;
 use crate::config::WorldConfig;
 use crate::countries::{self, Country};
-use crate::host::Posture;
+use crate::host::{HostRecord, Posture};
 use crate::rankings::RankingList;
 use crate::world::{
     build_tranco, cluster_candidate_cap, cluster_candidate_countries, plan_reuse_clusters,
-    ranked_pool_accept, worldwide_country_records, RealizeItem, Realizer, SharedCluster,
+    ranked_pool_accept, worldwide_country_records, RealizeBatch, RealizeItem, SharedCluster,
 };
 
 /// Derives independent RNG streams from the world seed.
@@ -107,20 +103,20 @@ pub fn worldgen_threads() -> usize {
 ///
 /// Worldgen shards are few and lopsided (China alone is ~17% of the
 /// world); the executor's contiguous seeding degrades to per-item claims
-/// at these sizes while half-batch stealing rebalances the tail, which
-/// measured strictly faster than the per-item rendezvous dispatch that
-/// used to live here (DESIGN.md §11). Determinism does not depend on the
-/// pool: `f` must derive everything from `(index, item)` — in worldgen,
-/// from the shard's own RNG stream — so any `threads` value produces
-/// identical output.
+/// at these sizes while half-batch stealing rebalances the tail
+/// (DESIGN.md §11). Determinism does not depend on the pool: `f` must
+/// derive everything from `(index, item)` — in worldgen, from the
+/// shard's own RNG stream — so any `threads` value produces identical
+/// output.
 pub use govscan_exec::par_map;
 
 /// Plan a streamed world: run the cross-shard phases once, cheaply, and
 /// return a [`StreamPlan`] that realizes one country shard at a time.
 ///
-/// Equivalent to [`World::generate`] for the worldwide government
-/// population — same seed, same hosts, same wire behaviour — but the
-/// plan holds only the cross-shard state (ranking list, §5.3.3 cluster
+/// The shards hold the same worldwide government population as
+/// [`World::generate`] — same seed, same hosts, same DNS, TCP, CAA and
+/// TLS behaviour. Page bodies differ: shards carry no webgraph links.
+/// The plan holds only the cross-shard state (Tranco, §5.3.3 cluster
 /// chains, CA roster), never the realized hosts. Peak memory is set by
 /// how many [`ShardWorld`]s the caller keeps in flight, not by
 /// [`WorldConfig::scale`].
@@ -130,42 +126,49 @@ pub fn stream_shards(config: &WorldConfig) -> StreamPlan {
     StreamPlan::new(config)
 }
 
-/// The cross-shard state of a streamed world — everything whose
-/// construction must see more than one country.
+/// The cross-shard state of a world — everything whose construction
+/// must see more than one country — and the one generator of its
+/// worldwide government population.
 ///
-/// Built by one planning walk that replays, draw for draw, the RNG
-/// streams of the materialized generator's cross-shard phases:
+/// Built by one planning walk:
 ///
 /// 1. **Transient population pass** — each country's records are
-///    generated from its own `("worldwide", cc)` stream (the same kernel
-///    [`World::generate`] uses) and immediately reduced to what the
-///    plan needs: ranked-pool membership draws in global host order, and
-///    a capped per-country candidate prefix for the cluster walk.
+///    generated from its own `("worldwide", cc)` stream and immediately
+///    reduced to what the plan needs: ranked-pool membership draws in
+///    global host order, and a capped per-country candidate prefix for
+///    the cluster walk.
 /// 2. **§5.3.3 cluster plan** — `plan_reuse_clusters`, RNG-free.
-/// 3. **Tranco** — the `("rankings", "")` stream, stopping where the
-///    materialized path moves on to the majestic list (which only feeds
-///    discovery, not the scanned population).
+/// 3. **Tranco** — the `("rankings", "")` stream. `World::generate`
+///    continues that stream into the majestic and cisco lists, which
+///    only feed discovery, not the scanned population.
 ///
-/// [`Self::realize_shard`] then regenerates a country's records from the
-/// same streams and applies the plan, so every shard is bit-identical to
-/// its slice of the materialized world at any thread count.
-///
-/// [`World::generate`]: crate::World::generate
+/// `shard_records` then regenerates a country's records from the same
+/// stream and applies the cluster flips; [`Self::realize_shard`] and
+/// `World::generate` realize them, so a shard is the same at any thread
+/// count wherever it is realized.
 pub struct StreamPlan {
-    config: WorldConfig,
-    seeder: StreamSeeder,
-    cadb: CaDb,
-    countries: Vec<&'static Country>,
+    pub(crate) config: WorldConfig,
+    pub(crate) seeder: StreamSeeder,
+    pub(crate) cadb: CaDb,
+    pub(crate) countries: Vec<&'static Country>,
     total_weight: f64,
-    clusters: Vec<SharedCluster>,
-    shared_chain_of: HashMap<String, usize>,
-    tranco: RankingList,
+    pub(crate) clusters: Vec<SharedCluster>,
+    pub(crate) shared_chain_of: HashMap<String, usize>,
+    pub(crate) tranco: RankingList,
     host_count: u64,
 }
 
 impl StreamPlan {
     /// Run the planning walk for `config`.
     pub fn new(config: &WorldConfig) -> StreamPlan {
+        StreamPlan::with_ranked_pool(config).0
+    }
+
+    /// Run the planning walk, also returning what `World::generate`
+    /// needs to draw its majestic and cisco lists: the ranked pool and
+    /// the `("rankings", "")` stream just after Tranco. [`Self::new`]
+    /// drops both, so a streamed plan never holds them.
+    pub(crate) fn with_ranked_pool(config: &WorldConfig) -> (StreamPlan, Vec<String>, StdRng) {
         let config = config.clone();
         let seeder = StreamSeeder::new(config.seed);
         let mut cadb = CaDb::build(config.seed);
@@ -185,9 +188,8 @@ impl StreamPlan {
             let cap = cluster_candidate_cap(&config, country.code);
             let mut cand: Vec<String> = Vec::new();
             for rec in &records {
-                // One membership draw per host in global generation
-                // order keeps the rankings stream in lockstep with the
-                // materialized walk.
+                // One membership draw per host, in global generation
+                // order.
                 if ranked_pool_accept(&mut rankings_rng, rec.country) {
                     pool.push(rec.hostname.clone());
                 }
@@ -202,9 +204,9 @@ impl StreamPlan {
             }
         }
         let plan = plan_reuse_clusters(&config, &mut cadb, &candidates);
-        let (_ranked_pool, tranco) = build_tranco(&config, &mut rankings_rng, pool);
+        let (ranked_pool, tranco) = build_tranco(&config, &mut rankings_rng, pool);
 
-        StreamPlan {
+        let plan = StreamPlan {
             config,
             seeder,
             cadb,
@@ -214,7 +216,8 @@ impl StreamPlan {
             shared_chain_of: plan.shared_chain_of,
             tranco,
             host_count,
-        }
+        };
+        (plan, ranked_pool, rankings_rng)
     }
 
     /// Number of shards (one per active country), fixed by the config.
@@ -249,44 +252,16 @@ impl StreamPlan {
         self.config.scan_time
     }
 
-    /// The stream seeder (evolution model: per-epoch mutation streams).
-    pub(crate) fn seeder(&self) -> StreamSeeder {
-        self.seeder
-    }
-
-    /// The §5.3.3 cluster table (evolution model: per-host realization).
-    pub(crate) fn clusters(&self) -> &[SharedCluster] {
-        &self.clusters
-    }
-
-    /// hostname → cluster index (evolution model: per-host realization).
-    pub(crate) fn shared_chain_of(&self) -> &HashMap<String, usize> {
-        &self.shared_chain_of
-    }
-
-    /// The active countries, in shard order.
-    pub(crate) fn countries(&self) -> &[&'static Country] {
-        &self.countries
-    }
-
-    /// Sum of active-country host weights (the population denominator).
-    pub(crate) fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
-    /// Realize shard `idx` (a country) into a self-contained
-    /// [`ShardWorld`]: regenerate its records from the country's RNG
-    /// streams, apply the cluster plan's posture flips, issue chains,
-    /// and populate a per-shard [`SimNet`].
-    ///
-    /// Pure in `&self`: shards can be realized in any order, in
-    /// parallel, or repeatedly — the result is always bit-identical to
-    /// the materialized world's slice for that country.
-    pub fn realize_shard(&self, idx: usize) -> ShardWorld {
-        let country = self.countries[idx];
-        let cc = country.code;
-        let mut records =
-            worldwide_country_records(&self.config, self.seeder, country, self.total_weight);
+    /// Shard `idx`'s ground-truth records, in generation order:
+    /// regenerated from the country's `("worldwide", cc)` stream, with
+    /// the §5.3.3 cluster plan's posture flips applied.
+    pub(crate) fn shard_records(&self, idx: usize) -> Vec<HostRecord> {
+        let mut records = worldwide_country_records(
+            &self.config,
+            self.seeder,
+            self.countries[idx],
+            self.total_weight,
+        );
         for rec in &mut records {
             if let Some(&ci) = self.shared_chain_of.get(&rec.hostname) {
                 rec.posture = Posture::InvalidHttps {
@@ -294,48 +269,44 @@ impl StreamPlan {
                 };
             }
         }
+        records
+    }
+
+    /// Realize shard `idx`'s hosts (records plus outbound links) into a
+    /// batch: plan the §9 shared chains, then realize each host in
+    /// order, all on the shard's `("realize", cc)` stream.
+    pub(crate) fn realize_records(&self, idx: usize, items: Vec<RealizeItem>) -> RealizeBatch {
+        let cc = self.countries[idx].code;
+        let mut r = self.realizer("realize", cc);
+        r.plan_shared_chains(cc, &items);
+        for (rec, links) in items {
+            r.realize(rec, &links);
+        }
+        r.into_batch()
+    }
+
+    /// Realize shard `idx` (a country) into a self-contained
+    /// [`ShardWorld`]: its records, chains and a per-shard [`SimNet`].
+    ///
+    /// Pure in `&self`: shards can be realized in any order, in
+    /// parallel, or repeatedly — the result is always bit-identical.
+    pub fn realize_shard(&self, idx: usize) -> ShardWorld {
+        let records = self.shard_records(idx);
         let hostnames: Vec<String> = records.iter().map(|r| r.hostname.clone()).collect();
         // Empty link lists: the webgraph only shapes page *bodies*, which
         // scanning never reads, and link assignment draws from its own
         // ("webgraph", "") stream — skipping it cannot shift any draw the
         // realizer makes.
         let items: Vec<RealizeItem> = records.into_iter().map(|rec| (rec, Vec::new())).collect();
-        let mut r = Realizer::for_shard(
-            &self.config,
-            &self.cadb,
-            &self.clusters,
-            &self.shared_chain_of,
-            self.seeder,
-            "realize",
-            cc,
-        );
-        r.plan_shared_chains(cc, &items);
-        for (rec, links) in items {
-            r.realize(rec, &links);
-        }
-        let batch = r.into_batch();
         let mut net = SimNet::new();
-        for host in batch.hosts {
-            net.add_host(host);
-        }
-        for name in batch.dns_timeouts {
-            net.set_dns_behavior(&name, DnsBehavior::Timeout);
-        }
-        for (name, set) in batch.caa {
-            net.dns.publish_caa(&name, set);
-        }
-        // CT appends are dropped: the scanner never consults the log and
-        // the snapshot stores no CT data.
+        // The CT leaves are dropped: the scanner never consults the log
+        // and the snapshot stores no CT data.
+        self.realize_records(idx, items).install(&mut net);
         ShardWorld {
-            country: cc,
+            country: self.countries[idx].code,
             hostnames,
             net,
         }
-    }
-
-    /// All shards, realized lazily in deterministic shard order.
-    pub fn shards(&self) -> impl Iterator<Item = ShardWorld> + '_ {
-        (0..self.shard_count()).map(|i| self.realize_shard(i))
     }
 }
 
@@ -399,13 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_override_parses() {
-        // Only shape-checks the default path (the env var is global
-        // state; the invariance test in world.rs exercises the override).
-        assert!(worldgen_threads() >= 1);
-    }
-
-    #[test]
     fn stream_plan_matches_materialized_world() {
         let config = WorldConfig::small(0x57E4);
         let world = crate::World::generate(&config);
@@ -413,7 +377,9 @@ mod tests {
 
         // Same population, same order.
         assert_eq!(plan.host_count(), world.gov_hosts.len() as u64);
-        let streamed: Vec<String> = plan.shards().flat_map(|s| s.hostnames).collect();
+        let streamed: Vec<String> = (0..plan.shard_count())
+            .flat_map(|i| plan.realize_shard(i).hostnames)
+            .collect();
         assert_eq!(streamed, world.gov_hosts, "shard order is gov_hosts order");
 
         // Same authoritative ranking list.

@@ -1,6 +1,8 @@
-//! The world orchestrator: generates every host population, injects the
-//! paper's pathologies, builds ranking lists and the web graph, and
-//! registers everything in a [`SimNet`].
+//! The world orchestrator: realizes the [`StreamPlan`]'s worldwide
+//! government population (with its §5.3.3 clusters), adds the
+//! case-study, non-government and phishing populations, builds the
+//! remaining ranking lists and the web graph, and registers everything
+//! in a [`SimNet`].
 //!
 //! Generation is parallel but deterministic: every hot phase shards its
 //! population (by country, dataset or fixed-size chunk), each shard draws
@@ -13,6 +15,7 @@ use std::net::Ipv4Addr;
 
 use govscan_asn1::Time;
 use govscan_crypto::{KeyAlgorithm, KeyPair, SignatureAlgorithm};
+use govscan_net::dns::DnsBehavior;
 use govscan_net::http::HttpResponse;
 use govscan_net::tls::{TlsQuirk, TlsServerConfig};
 use govscan_net::{CidrTable, HostConfig, SimNet};
@@ -32,7 +35,7 @@ use crate::hosting::{provider_table, HostingAssigner};
 use crate::posture::{self, PostureRates};
 use crate::rankings::{self, RankingList};
 use crate::rok::{ROK, ROK_DEPARTMENTS};
-use crate::stream::{self, StreamSeeder};
+use crate::stream::{self, StreamPlan, StreamSeeder};
 use crate::usa::USA_DATASETS;
 use crate::webgraph::{self, GraphHost, WebGraph};
 
@@ -87,7 +90,15 @@ pub struct World {
 impl World {
     /// Generate a world.
     pub fn generate(config: &WorldConfig) -> World {
-        Generator::new(config.clone()).run()
+        let (plan, ranked_pool, rankings_rng) = StreamPlan::with_ranked_pool(config);
+        Generator {
+            plan,
+            threads: stream::worldgen_threads(),
+            net: SimNet::new(),
+            records: HashMap::new(),
+            gov_hosts: Vec::new(),
+        }
+        .run(ranked_pool, rankings_rng)
     }
 
     /// Ground-truth record for a hostname.
@@ -119,64 +130,76 @@ pub(crate) struct SharedCluster {
     pub(crate) error: InjectedError,
 }
 
+/// The materialized world under construction. The worldwide government
+/// population, its §5.3.3 clusters, the CA roster and the Tranco list
+/// come from the [`StreamPlan`]; the generator adds what only a whole
+/// world has (majestic, cisco, seed list, whitelist, web graph) and the
+/// populations the streamed pipeline never scans.
 struct Generator {
-    config: WorldConfig,
-    seeder: StreamSeeder,
+    plan: StreamPlan,
     threads: usize,
-    cadb: CaDb,
     net: SimNet,
     records: HashMap<String, HostRecord>,
     gov_hosts: Vec<String>,
-    /// Worldwide hostnames grouped by country, in generation order —
-    /// the shard layout for the realize phase.
-    gov_blocks: Vec<(&'static str, Vec<String>)>,
-    clusters: Vec<SharedCluster>,
-    shared_chain_of: HashMap<String, usize>,
 }
 
 impl Generator {
-    fn new(config: WorldConfig) -> Generator {
-        let seeder = StreamSeeder::new(config.seed);
-        let cadb = CaDb::build(config.seed);
-        Generator {
-            seeder,
-            threads: stream::worldgen_threads(),
-            cadb,
-            config,
-            net: SimNet::new(),
-            records: HashMap::new(),
-            gov_hosts: Vec::new(),
-            gov_blocks: Vec::new(),
-            clusters: Vec::new(),
-            shared_chain_of: HashMap::new(),
+    fn run(mut self, ranked_pool: Vec<String>, rankings_rng: StdRng) -> World {
+        // 1. Worldwide government population: the plan's shards, one
+        // per country, cluster flips applied.
+        let plan = &self.plan;
+        let shards = stream::par_map(self.threads, (0..plan.shard_count()).collect(), |_, idx| {
+            plan.shard_records(idx)
+        });
+        let mut shard_hosts = Vec::with_capacity(shards.len());
+        for records in shards {
+            let hosts: Vec<String> = records.iter().map(|r| r.hostname.clone()).collect();
+            self.gov_hosts.extend(hosts.iter().cloned());
+            self.records
+                .extend(records.into_iter().map(|r| (r.hostname.clone(), r)));
+            shard_hosts.push(hosts);
         }
-    }
-
-    fn run(mut self) -> World {
-        // 1. Worldwide government population, per country.
-        self.generate_worldwide();
-        // 2. §5.3.3 reuse pathologies.
-        self.inject_reuse_clusters();
-        // 3. Rankings + seed list.
-        let (seed_list, tranco, majestic, cisco) = self.build_rankings();
-        // 4. Whitelist.
+        // 2. The other two rankings + seed list.
+        let (seed_list, majestic, cisco) = self.build_rankings(ranked_pool, rankings_rng);
+        // 3. Whitelist.
         let whitelist = self.build_whitelist(&seed_list);
-        // 5. Web graph over worldwide gov hosts.
+        // 4. Web graph over worldwide gov hosts.
         let webgraph = self.build_webgraph(&seed_list);
-        // 6. Realize worldwide hosts into the SimNet.
-        self.realize_worldwide(&webgraph);
-        // 7. Case-study populations.
+        // 5. Realize every shard, with its webgraph links, into the SimNet.
+        let jobs: Vec<Vec<RealizeItem>> = shard_hosts
+            .iter()
+            .map(|hosts| {
+                hosts
+                    .iter()
+                    .map(|h| (self.records[h].clone(), webgraph.links_for(h).to_vec()))
+                    .collect()
+            })
+            .collect();
+        let plan = &self.plan;
+        let batches = stream::par_map(self.threads, jobs, |idx, items| {
+            plan.realize_records(idx, items)
+        });
+        for batch in batches {
+            self.apply(batch);
+        }
+        // 6. Case-study populations.
         let gsa_hosts = self.generate_gsa();
         let rok_hosts = self.generate_rok();
-        // 8. Materialized non-government ranking hosts.
-        self.realize_nongov(&tranco);
-        // 9. Phishing twins (§7.3.2).
+        // 7. Materialized non-government ranking hosts.
+        self.realize_nongov();
+        // 8. Phishing twins (§7.3.2).
         self.inject_phishing_twins();
 
+        let StreamPlan {
+            config,
+            cadb,
+            tranco,
+            ..
+        } = self.plan;
         World {
-            config: self.config,
+            config,
             net: self.net,
-            cadb: self.cadb,
+            cadb,
             records: self.records,
             gov_hosts: self.gov_hosts,
             seed_list,
@@ -195,21 +218,12 @@ impl Generator {
     /// the only place worker results touch shared state, so the merged
     /// world depends on shard order alone — never on scheduling.
     fn apply(&mut self, batch: RealizeBatch) {
-        for rec in batch.records {
+        let (records, ct) = batch.install(&mut self.net);
+        for rec in records {
             self.records.insert(rec.hostname.clone(), rec);
         }
-        for host in batch.hosts {
-            self.net.add_host(host);
-        }
-        for name in batch.dns_timeouts {
-            self.net
-                .set_dns_behavior(&name, govscan_net::dns::DnsBehavior::Timeout);
-        }
-        for (name, set) in batch.caa {
-            self.net.dns.publish_caa(&name, set);
-        }
-        for cert in batch.ct {
-            self.cadb.ct_append(&cert);
+        for cert in ct {
+            self.plan.cadb.ct_append(&cert);
         }
     }
 
@@ -231,86 +245,30 @@ impl Generator {
         self.apply(batch);
     }
 
-    fn generate_worldwide(&mut self) {
-        let total_weight = countries::total_weight();
-        let shards: Vec<&'static Country> = countries::active_countries().collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let blocks = stream::par_map(self.threads, shards, |_, country| {
-            (
-                country.code,
-                worldwide_country_records(config, seeder, country, total_weight),
-            )
-        });
-        for (cc, records) in blocks {
-            let mut names = Vec::with_capacity(records.len());
-            for rec in records {
-                names.push(rec.hostname.clone());
-                self.gov_hosts.push(rec.hostname.clone());
-                self.records.insert(rec.hostname.clone(), rec);
-            }
-            self.gov_blocks.push((cc, names));
-        }
-    }
-
-    /// Inject the §5.3.3 shared-certificate clusters: per-country
-    /// wildcard-scope misuse (Bangladesh 2 certs / 138 hosts, Colombia
-    /// 3 / 107, Dominica 1 / 28, Vietnam 3 / 21) plus the worldwide
-    /// localhost-certificate clusters (154 certs reused across 1,390
-    /// hosts in up to 24 countries). The walk itself lives in
-    /// [`plan_reuse_clusters`] so the streamed plan can replay it.
-    fn inject_reuse_clusters(&mut self) {
-        let needed = cluster_candidate_countries(&self.config);
-        let mut candidates: HashMap<&'static str, Vec<String>> = HashMap::new();
-        for (cc, hosts) in &self.gov_blocks {
-            if !needed.contains(cc) {
-                continue;
-            }
-            let list: Vec<String> = hosts
-                .iter()
-                .filter(|h| self.records[*h].posture.attempts_https())
-                .cloned()
-                .collect();
-            candidates.insert(cc, list);
-        }
-        let plan = plan_reuse_clusters(&self.config, &mut self.cadb, &candidates);
-        for (host, &ci) in &plan.shared_chain_of {
-            let rec = self.records.get_mut(host).expect("cluster member exists");
-            rec.posture = Posture::InvalidHttps {
-                error: plan.clusters[ci].error,
-            };
-        }
-        self.clusters = plan.clusters;
-        self.shared_chain_of = plan.shared_chain_of;
-    }
-
-    /// Build ranking lists and derive the seed list (§4.1: the merged
-    /// top-million data contributed 27,532 unique government hostnames).
-    fn build_rankings(&mut self) -> (Vec<String>, RankingList, RankingList, RankingList) {
-        let mut rng = self.seeder.rng("rankings", "");
-        // Popularity pool: bias toward high-tech countries.
-        let pool: Vec<String> = self
-            .gov_hosts
-            .iter()
-            .filter(|h| ranked_pool_accept(&mut rng, self.records[*h].country))
-            .cloned()
-            .collect();
+    /// Draw the majestic and cisco lists from the plan's ranked pool and
+    /// derive the seed list (§4.1: the merged top-million data
+    /// contributed 27,532 unique government hostnames). `rng` is the
+    /// `("rankings", "")` stream where the plan's Tranco left it.
+    fn build_rankings(
+        &mut self,
+        mut draw: Vec<String>,
+        mut rng: StdRng,
+    ) -> (Vec<String>, RankingList, RankingList) {
         // Tranco materializes non-gov hosts for §5.5; the other two lists
-        // only need their government overlap counts (Table 1).
-        let (ranked_pool, tranco) = build_tranco(&self.config, &mut rng, pool);
+        // only need their government overlap counts (Table 1), so they
+        // materialize nothing and their namer is never consulted
+        // (`build_list` draws zero non-gov rows at rate 0).
+        let tranco = &self.plan.tranco;
         let size = tranco.size;
-        // The other lists materialize nothing, so their namer is never
-        // consulted (`build_list` draws zero non-gov rows at rate 0).
         let mut no_namer =
             |_: &mut dyn rand::RngCore| -> String { unreachable!("materialize rate is 0") };
-        let mut draw = ranked_pool;
         draw.shuffle(&mut rng);
         let majestic = rankings::build_list(
             &mut rng,
             "majestic",
             size,
             rankings::MAJESTIC_OVERLAP,
-            self.config.discovery_scale(),
+            self.plan.config.discovery_scale(),
             &draw,
             0.0,
             &mut no_namer,
@@ -321,7 +279,7 @@ impl Generator {
             "cisco",
             size,
             rankings::CISCO_OVERLAP,
-            self.config.discovery_scale(),
+            self.plan.config.discovery_scale(),
             &draw,
             0.0,
             &mut no_namer,
@@ -329,7 +287,7 @@ impl Generator {
         // §4.1: the seed list is the deduplicated union of the lists'
         // government rows (27,532 at paper scale).
         let mut seed_set: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for list in [&tranco, &majestic, &cisco] {
+        for list in [tranco, &majestic, &cisco] {
             for e in list.gov_entries() {
                 seed_set.insert(e.hostname.clone());
             }
@@ -346,11 +304,11 @@ impl Generator {
                 rec.in_seed = true;
             }
         }
-        (seed_list, tranco, majestic, cisco)
+        (seed_list, majestic, cisco)
     }
 
     fn build_whitelist(&mut self, seed: &[String]) -> Vec<String> {
-        let mut rng = self.seeder.rng("whitelist", "");
+        let mut rng = self.plan.seeder.rng("whitelist", "");
         let mut whitelist: Vec<String> = Vec::new();
         // Whitelist-only countries (Germany, Denmark, NL, Greenland,
         // Gabon, …) enter exclusively through the whitelist.
@@ -364,7 +322,7 @@ impl Generator {
         // Plus hand-curated extras from long-tail countries not in seed.
         // Hand-curation does not grow with the world: saturates at the
         // paper's 596 entries (discovery scale).
-        let extra = self.config.discovery_scaled(WHITELIST_EXTRA) as usize;
+        let extra = self.plan.config.discovery_scaled(WHITELIST_EXTRA) as usize;
         let taken: HashSet<&str> = seed.iter().chain(&whitelist).map(String::as_str).collect();
         let mut candidates: Vec<String> = self
             .gov_hosts
@@ -378,7 +336,7 @@ impl Generator {
     }
 
     fn build_webgraph(&mut self, seed: &[String]) -> WebGraph {
-        let mut rng = self.seeder.rng("webgraph", "");
+        let mut rng = self.plan.seeder.rng("webgraph", "");
         let seed_set: std::collections::HashSet<&String> = seed.iter().collect();
         let hosts: Vec<GraphHost> = self
             .gov_hosts
@@ -414,7 +372,7 @@ impl Generator {
         }
         let countries: Vec<&'static str> = alive_by_country.keys().copied().collect();
         for (cc, portal) in &portals {
-            let hash = cc.bytes().fold(self.config.seed, |a, b| {
+            let hash = cc.bytes().fold(self.plan.config.seed, |a, b| {
                 a.wrapping_mul(131).wrapping_add(b as u64)
             });
             let palette_size = if *cc == "at" {
@@ -448,52 +406,14 @@ impl Generator {
         graph
     }
 
-    /// Realize the worldwide population: one shard per country, each
-    /// issuing chains against the shared `&CaDb` and emitting a batch
-    /// merged back in country order.
-    fn realize_worldwide(&mut self, graph: &WebGraph) {
-        let jobs: Vec<(&'static str, Vec<RealizeItem>)> = self
-            .gov_blocks
-            .iter()
-            .map(|(cc, hosts)| {
-                let items = hosts
-                    .iter()
-                    .map(|h| (self.records[h].clone(), graph.links_for(h).to_vec()))
-                    .collect();
-                (*cc, items)
-            })
-            .collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
-        let batches = stream::par_map(self.threads, jobs, |_, (cc, items)| {
-            let mut r = Realizer::for_shard(config, cadb, clusters, shared, seeder, "realize", cc);
-            r.plan_shared_chains(cc, &items);
-            for (rec, links) in items {
-                r.realize(rec, &links);
-            }
-            r.into_batch()
-        });
-        for batch in batches {
-            self.apply(batch);
-        }
-    }
-
     /// USA GSA case-study populations (§6.1, Tables A.1/A.2): one shard
     /// per dataset.
     fn generate_gsa(&mut self) -> Vec<String> {
         let specs: Vec<_> = USA_DATASETS.to_vec();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
+        let plan = &self.plan;
         let results = stream::par_map(self.threads, specs, |_, spec| {
-            let mut r =
-                Realizer::for_shard(config, cadb, clusters, shared, seeder, "gsa", spec.tag());
-            let n = config.scaled(spec.total as u64);
+            let mut r = plan.realizer("gsa", spec.tag());
+            let n = plan.config.scaled(spec.total as u64);
             let rates = spec.rates();
             let mut hosts = Vec::with_capacity(n as usize);
             for i in 0..n {
@@ -535,23 +455,11 @@ impl Generator {
     /// South Korea Government24 population (§6.2, Tables A.3/A.4):
     /// fixed-size chunks of the global index space.
     fn generate_rok(&mut self) -> Vec<String> {
-        let n = self.config.scaled(ROK.total as u64);
+        let n = self.plan.config.scaled(ROK.total as u64);
         let starts: Vec<u64> = (0..n).step_by(CHUNK).collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
+        let plan = &self.plan;
         let results = stream::par_map(self.threads, starts, |ci, start| {
-            let mut r = Realizer::for_shard(
-                config,
-                cadb,
-                clusters,
-                shared,
-                seeder,
-                "rok",
-                &ci.to_string(),
-            );
+            let mut r = plan.realizer("rok", &ci.to_string());
             let rates = ROK.rates();
             let end = (start + CHUNK as u64).min(n);
             let mut hosts = Vec::with_capacity((end - start) as usize);
@@ -595,28 +503,17 @@ impl Generator {
     /// Materialize the tranco list's non-government rows as dialable
     /// hosts with rank-dependent https quality (§5.5 / Figure 7: ~72%
     /// valid at the top of the list declining to ~40% at the bottom).
-    fn realize_nongov(&mut self, tranco: &RankingList) {
+    fn realize_nongov(&mut self) {
+        let tranco = &self.plan.tranco;
         let size = tranco.size as f64;
         let entries: Vec<(u32, String)> = tranco
             .nongov_entries()
             .map(|e| (e.rank, e.hostname.clone()))
             .collect();
         let chunks: Vec<Vec<(u32, String)>> = entries.chunks(CHUNK).map(|c| c.to_vec()).collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
+        let plan = &self.plan;
         let batches = stream::par_map(self.threads, chunks, |ci, chunk| {
-            let mut r = Realizer::for_shard(
-                config,
-                cadb,
-                clusters,
-                shared,
-                seeder,
-                "nongov",
-                &ci.to_string(),
-            );
+            let mut r = plan.realizer("nongov", &ci.to_string());
             for (rank, hostname) in chunk {
                 let frac = rank as f64 / size;
                 let p_valid = 0.72 - 0.32 * frac;
@@ -664,22 +561,14 @@ impl Generator {
     /// `etagov.sl` posing as `eta.gov.lk`, and `<word>gov.us` twins.
     fn inject_phishing_twins(&mut self) {
         let mut twins = vec![hostgen::phishing_twin("eta.gov.lk", "sl")];
-        let n = self.config.scaled(85);
+        let n = self.plan.config.scaled(85);
         for i in 0..n {
             let dept = [
                 "tax", "visa", "health", "travel", "permit", "id", "dmv", "irs",
             ][(i as usize) % 8];
             twins.push(format!("{dept}{i}gov.us"));
         }
-        let mut r = Realizer::for_shard(
-            &self.config,
-            &self.cadb,
-            &self.clusters,
-            &self.shared_chain_of,
-            self.seeder,
-            "phishing",
-            "",
-        );
+        let mut r = self.plan.realizer("phishing", "");
         for hostname in twins {
             let record = HostRecord {
                 hostname: hostname.clone(),
@@ -706,13 +595,13 @@ impl Generator {
 }
 
 // ---------------------------------------------------------------------
-// Shared generation kernels.
+// Worldwide generation kernels.
 //
-// Everything below is a pure function of (config, seeder, shard) — no
-// Generator state — so the materialized [`Generator`] and the streamed
-// plan ([`crate::stream::StreamPlan`]) both call them and, by
-// construction, draw identical RNG streams. This is what makes the
-// streamed archive byte-identical to the materialized one.
+// Everything below derives from (config, seeder, shard) alone — no
+// Generator state. `StreamPlan` runs the one planning walk over these
+// kernels (records, ranked pool, §5.3.3 clusters, Tranco) and then
+// regenerates and realizes each shard from the same streams, so a shard
+// is byte-identical wherever and whenever it is produced.
 // ---------------------------------------------------------------------
 
 /// Cloud/CDN adoption share of a country's government hosts.
@@ -788,7 +677,7 @@ const WORLDWIDE_CLUSTER_HOSTS: u64 = 1_390;
 
 /// The countries whose candidate pools [`plan_reuse_clusters`] can
 /// consult — a pure function of the config (the walk's country schedule
-/// is deterministic), so the streamed plan retains candidate hostnames
+/// is deterministic), so the planning walk retains candidate hostnames
 /// only for these instead of the whole world.
 pub(crate) fn cluster_candidate_countries(
     config: &WorldConfig,
@@ -814,7 +703,7 @@ pub(crate) fn cluster_candidate_countries(
 /// every entry it passes over was either taken (bounded by the total
 /// membership the walk can assign to `cc` — its national quota plus the
 /// whole worldwide host budget) or returned, so truncating a candidate
-/// list here cannot change the plan. This is what lets the streamed plan
+/// list here cannot change the plan. This is what lets the planning walk
 /// keep O(budget) candidate hostnames instead of O(world).
 pub(crate) fn cluster_candidate_cap(config: &WorldConfig, cc: &str) -> usize {
     let national = NATIONAL_CLUSTER_SPECS
@@ -867,15 +756,17 @@ impl ClusterPlan {
     }
 }
 
-/// Select and issue the §5.3.3 shared-certificate clusters.
+/// Select and issue the §5.3.3 shared-certificate clusters: per-country
+/// wildcard-scope misuse ([`NATIONAL_CLUSTER_SPECS`]) plus the worldwide
+/// localhost-certificate clusters ([`WORLDWIDE_CLUSTER_SPECS`]).
 ///
-/// `candidates` holds, per country, the https-attempting worldwide
+/// `candidates` holds, per country, a prefix (see
+/// [`cluster_candidate_cap`]) of the https-attempting worldwide
 /// hostnames in generation order, judged by their *original* postures.
-/// The flips this plan implies keep `attempts_https`, so candidacy is
-/// insensitive to whether earlier clusters were already applied — which
-/// is what lets the materialized generator (flip-as-you-go) and the
-/// streamed plan (flip-at-realize) share this walk. Consumes no RNG;
-/// keys and serials derive from deterministic seeds.
+/// The flips this plan implies keep `attempts_https`, so candidacy can
+/// be judged before any flip is applied; the flips happen when a shard's
+/// records are regenerated. Consumes no RNG; keys and serials derive
+/// from deterministic seeds.
 pub(crate) fn plan_reuse_clusters(
     config: &WorldConfig,
     cadb: &mut CaDb,
@@ -966,10 +857,10 @@ pub(crate) fn plan_reuse_clusters(
     plan
 }
 
-/// One ranked-pool membership draw, per worldwide host in `gov_hosts`
-/// order — higher-tech countries are far more likely to be ranked. Both
-/// walks call this for *every* host so the `("rankings", "")` stream
-/// stays in lockstep.
+/// One ranked-pool membership draw for a worldwide host — higher-tech
+/// countries are far more likely to be ranked. The planning walk draws
+/// for *every* host, in `gov_hosts` order, on the `("rankings", "")`
+/// stream.
 pub(crate) fn ranked_pool_accept(rng: &mut StdRng, country: &'static str) -> bool {
     let tech = Country::by_code(country).map(|c| c.tech).unwrap_or(0.5);
     rng.gen::<f64>() < 0.18 + 0.6 * tech
@@ -979,9 +870,8 @@ pub(crate) fn ranked_pool_accept(rng: &mut StdRng, country: &'static str) -> boo
 /// shuffle the accepted pool, truncate to the (discovery-scaled) seed
 /// pool, and build the ranking with materialized non-government rows.
 /// Returns the ranked pool (the draw set for the other two lists) and
-/// the list. Consumes the `("rankings", "")` stream exactly as far as
-/// the materialized `build_rankings` does before the majestic shuffle,
-/// so the streamed plan can stop here.
+/// the list, leaving the `("rankings", "")` stream where
+/// `World::generate` continues it into the majestic and cisco lists.
 pub(crate) fn build_tranco(
     config: &WorldConfig,
     rng: &mut StdRng,
@@ -1026,22 +916,37 @@ pub(crate) type RealizeItem = (HostRecord, Vec<String>);
 /// independent of scheduling.
 #[derive(Default)]
 pub(crate) struct RealizeBatch {
-    pub(crate) records: Vec<HostRecord>,
-    pub(crate) hosts: Vec<HostConfig>,
-    pub(crate) dns_timeouts: Vec<String>,
-    pub(crate) caa: Vec<(String, Vec<CaaRecord>)>,
+    records: Vec<HostRecord>,
+    hosts: Vec<HostConfig>,
+    dns_timeouts: Vec<String>,
+    caa: Vec<(String, Vec<CaaRecord>)>,
     /// Leaves to append to the CT log (in issuance order).
-    pub(crate) ct: Vec<Certificate>,
+    ct: Vec<Certificate>,
+}
+
+impl RealizeBatch {
+    /// Serve the batch's hosts, DNS timeouts and CAA sets from `net`.
+    /// Returns the realized records and the CT leaves, in emission
+    /// order, for the caller that keeps ground truth or owns the log.
+    pub(crate) fn install(self, net: &mut SimNet) -> (Vec<HostRecord>, Vec<Certificate>) {
+        for host in self.hosts {
+            net.add_host(host);
+        }
+        for name in self.dns_timeouts {
+            net.set_dns_behavior(&name, DnsBehavior::Timeout);
+        }
+        for (name, set) in self.caa {
+            net.dns.publish_caa(&name, set);
+        }
+        (self.records, self.ct)
+    }
 }
 
 /// Per-shard host realizer: owns the shard's RNG stream and IP
-/// allocator, borrows the shared (read-only) CA roster and cluster
+/// allocator, borrows the plan's (read-only) CA roster and cluster
 /// table, and accumulates a [`RealizeBatch`].
 pub(crate) struct Realizer<'a> {
-    config: &'a WorldConfig,
-    cadb: &'a CaDb,
-    clusters: &'a [SharedCluster],
-    shared_chain_of: &'a HashMap<String, usize>,
+    plan: &'a StreamPlan,
     assigner: HostingAssigner,
     rng: StdRng,
     /// §9 consolidated hosting: hostname → index into `shared_chains`.
@@ -1050,8 +955,8 @@ pub(crate) struct Realizer<'a> {
     /// window instead of sampling one from the RNG stream. The evolution
     /// model (`crate::evolve`) schedules certificate lifetimes itself —
     /// it must know a cert's expiry without replaying realizer draws —
-    /// so it injects the window it already decided on. The materialized
-    /// and streamed generators never set this, so their draw sequences
+    /// so it injects the window it already decided on. `World::generate`
+    /// and the streamed shards never set this, so their draw sequences
     /// are untouched.
     validity_override: Option<(Time, i64)>,
     /// (chain, issuing-CA label) per shared group.
@@ -1059,31 +964,25 @@ pub(crate) struct Realizer<'a> {
     batch: RealizeBatch,
 }
 
-impl<'a> Realizer<'a> {
-    pub(crate) fn for_shard(
-        config: &'a WorldConfig,
-        cadb: &'a CaDb,
-        clusters: &'a [SharedCluster],
-        shared_chain_of: &'a HashMap<String, usize>,
-        seeder: StreamSeeder,
-        phase: &str,
-        shard: &str,
-    ) -> Realizer<'a> {
+impl StreamPlan {
+    /// A realizer for one `(phase, shard)`: its RNG stream and IP block
+    /// derive from that pair alone, so any shard realizes identically
+    /// wherever and whenever it runs.
+    pub(crate) fn realizer(&self, phase: &str, shard: &str) -> Realizer<'_> {
         let ip_tag = format!("{phase}/{shard}");
         Realizer {
-            config,
-            cadb,
-            clusters,
-            shared_chain_of,
-            assigner: HostingAssigner::with_base(seeder.stream_id("ip", &ip_tag)),
-            rng: seeder.rng(phase, shard),
+            plan: self,
+            assigner: HostingAssigner::with_base(self.seeder.stream_id("ip", &ip_tag)),
+            rng: self.seeder.rng(phase, shard),
             shared_group_of: HashMap::new(),
             validity_override: None,
             shared_chains: Vec::new(),
             batch: RealizeBatch::default(),
         }
     }
+}
 
+impl Realizer<'_> {
     pub(crate) fn into_batch(self) -> RealizeBatch {
         self.batch
     }
@@ -1105,7 +1004,7 @@ impl<'a> Realizer<'a> {
             None => posture::sample_validity_window(
                 &mut self.rng,
                 valid,
-                self.config.scan_time,
+                self.plan.config.scan_time,
                 expired,
             ),
         }
@@ -1114,7 +1013,7 @@ impl<'a> Realizer<'a> {
     /// Issue a chain without touching shared state; the leaf's CT-log
     /// append (when the CA logs) is deferred into the batch.
     fn issue(&mut self, ca_idx: usize, profile: &LeafProfile) -> Vec<Certificate> {
-        let (chain, log_it) = self.cadb.issue_chain_pure(ca_idx, profile);
+        let (chain, log_it) = self.plan.cadb.issue_chain_pure(ca_idx, profile);
         if log_it {
             self.batch.ct.push(chain[0].clone());
         }
@@ -1128,7 +1027,7 @@ impl<'a> Realizer<'a> {
     /// so distinct chains grow slower than TLS hosts, like real shared
     /// platforms. One key per (country, group): never cross-country.
     pub(crate) fn plan_shared_chains(&mut self, cc: &str, items: &[RealizeItem]) {
-        let rate = self.config.shared_chain_rate;
+        let rate = self.plan.config.shared_chain_rate;
         if rate <= 0.0 {
             return;
         }
@@ -1139,7 +1038,9 @@ impl<'a> Realizer<'a> {
             std::collections::BTreeMap::new();
         let mut san_pool: Vec<String> = Vec::new();
         for (rec, _) in items {
-            if !rec.posture.is_valid_https() || self.shared_chain_of.contains_key(&rec.hostname) {
+            if !rec.posture.is_valid_https()
+                || self.plan.shared_chain_of.contains_key(&rec.hostname)
+            {
                 continue;
             }
             if self.rng.gen::<f64>() >= rate {
@@ -1182,18 +1083,18 @@ impl<'a> Realizer<'a> {
                 groups.push((chunk.to_vec(), chunk.to_vec()));
             }
         }
-        let scan = self.config.scan_time;
+        let scan = self.plan.config.scan_time;
         for (gi, (names, members)) in groups.into_iter().enumerate() {
             let key_alg = posture::sample_key_algorithm(&mut self.rng, true);
             let key = KeyPair::from_seed(key_alg, format!("sharedkey-{cc}-{gi}").as_bytes());
             let (not_before, days) =
                 posture::sample_validity_window(&mut self.rng, true, scan, false);
-            let ca_idx = self.cadb.pick(&mut self.rng, cc, true);
+            let ca_idx = self.plan.cadb.pick(&mut self.rng, cc, true);
             let mut profile = LeafProfile::dv(names[0].clone(), key.public(), not_before);
             profile.san = names;
             profile.validity_days = Some(days);
             let chain = self.issue(ca_idx, &profile);
-            let label = self.cadb.get(ca_idx).profile.label.to_string();
+            let label = self.plan.cadb.get(ca_idx).profile.label.to_string();
             let idx = self.shared_chains.len();
             self.shared_chains.push((chain, label));
             for m in members {
@@ -1277,8 +1178,9 @@ impl<'a> Realizer<'a> {
         page: HttpResponse,
     ) {
         // Shared-cluster members use the cluster chain verbatim.
-        let (chain, quirk, legacy) = if let Some(&ci) = self.shared_chain_of.get(&rec.hostname) {
-            let chain = self.clusters[ci].chain.clone();
+        let (chain, quirk, legacy) = if let Some(&ci) = self.plan.shared_chain_of.get(&rec.hostname)
+        {
+            let chain = self.plan.clusters[ci].chain.clone();
             rec.issuer = Some(chain[0].issuer_label());
             (chain, None, false)
         } else {
@@ -1355,12 +1257,12 @@ impl<'a> Realizer<'a> {
                 vec![format!("www.intranet-{}.example", rec.country)]
             }
         };
-        let ca_idx = self.cadb.pick(&mut self.rng, rec.country, true);
+        let ca_idx = self.plan.cadb.pick(&mut self.rng, rec.country, true);
         let mut profile = LeafProfile::dv(covered[0].clone(), key.public(), not_before);
         profile.san = covered;
         profile.validity_days = Some(days);
         // EV issuance (§5.3: ~4% of hosts carry EV policy OIDs).
-        let ca_profile = self.cadb.get(ca_idx).profile;
+        let ca_profile = self.plan.cadb.get(ca_idx).profile;
         if let Some(ev_oid) = ca_profile.ev_oid {
             if self.rng.gen::<f64>() < 0.18 {
                 profile.policies = vec![govscan_asn1::Oid::parse(ev_oid).expect("static")];
@@ -1375,10 +1277,10 @@ impl<'a> Realizer<'a> {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
         let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
         let (not_before, days) = self.validity_window(false, true);
-        let ca_idx = self.cadb.pick(&mut self.rng, rec.country, true);
+        let ca_idx = self.plan.cadb.pick(&mut self.rng, rec.country, true);
         let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
         profile.validity_days = Some(days);
-        rec.issuer = Some(self.cadb.get(ca_idx).profile.label.to_string());
+        rec.issuer = Some(self.plan.cadb.get(ca_idx).profile.label.to_string());
         self.issue(ca_idx, &profile)
     }
 
@@ -1389,24 +1291,24 @@ impl<'a> Realizer<'a> {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
         let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
         let (not_before, days) = self.validity_window(false, false);
-        let untrusted = self.cadb.untrusted_indices();
+        let untrusted = self.plan.cadb.untrusted_indices();
         let use_untrusted = rec.country == "kr" || self.rng.gen::<f64>() < 0.5;
         let ca_idx = if use_untrusted && !untrusted.is_empty() {
             if rec.country == "kr" {
                 // Prefer the NPKI sub-CAs.
                 *untrusted
                     .iter()
-                    .find(|&&i| self.cadb.get(i).profile.country == "KR")
+                    .find(|&&i| self.plan.cadb.get(i).profile.country == "KR")
                     .unwrap_or(&untrusted[0])
             } else {
                 untrusted[self.rng.gen_range(0..untrusted.len())]
             }
         } else {
-            self.cadb.pick(&mut self.rng, rec.country, true)
+            self.plan.cadb.pick(&mut self.rng, rec.country, true)
         };
         let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
         profile.validity_days = Some(days);
-        rec.issuer = Some(self.cadb.get(ca_idx).profile.label.to_string());
+        rec.issuer = Some(self.plan.cadb.get(ca_idx).profile.label.to_string());
         let mut chain = self.issue(ca_idx, &profile);
         if !use_untrusted {
             chain.truncate(1); // drop the intermediate: incomplete chain
@@ -1454,20 +1356,20 @@ impl<'a> Realizer<'a> {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
         let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
         let (not_before, days) = self.validity_window(false, false);
-        let untrusted = self.cadb.untrusted_indices();
+        let untrusted = self.plan.cadb.untrusted_indices();
         let ca_idx = if rec.country == "kr" {
             *untrusted
                 .iter()
-                .find(|&&i| self.cadb.get(i).profile.country == "KR")
+                .find(|&&i| self.plan.cadb.get(i).profile.country == "KR")
                 .unwrap_or(&untrusted[0])
         } else {
             untrusted[self.rng.gen_range(0..untrusted.len())]
         };
         let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
         profile.validity_days = Some(days);
-        rec.issuer = Some(self.cadb.get(ca_idx).profile.label.to_string());
+        rec.issuer = Some(self.plan.cadb.get(ca_idx).profile.label.to_string());
         let mut chain = self.issue(ca_idx, &profile);
-        chain.push(self.cadb.get(ca_idx).root.cert.clone());
+        chain.push(self.plan.cadb.get(ca_idx).root.cert.clone());
         chain
     }
 }
@@ -1505,38 +1407,80 @@ mod tests {
     /// web graph and the CT log. Two worlds with equal digests are
     /// behaviourally identical.
     fn world_digest(w: &World) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        w.gov_hosts.hash(&mut h);
-        w.seed_list.hash(&mut h);
-        w.whitelist.hash(&mut h);
-        w.gsa_hosts.hash(&mut h);
-        w.rok_hosts.hash(&mut h);
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        hash_world(w, &mut h);
+        h.finish()
+    }
+
+    /// SHA-256 over the bytes [`world_digest`] hashes, as hex: a
+    /// fingerprint that is comparable across builds and commits.
+    fn world_fingerprint(w: &World) -> String {
+        use govscan_crypto::{Digest, Sha256};
+        struct Sink(Sha256);
+        impl std::hash::Hasher for Sink {
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.update(bytes);
+            }
+            fn finish(&self) -> u64 {
+                unreachable!("read through finalize")
+            }
+        }
+        let mut sink = Sink(Sha256::new());
+        hash_world(w, &mut sink);
+        govscan_crypto::hex::encode(&sink.0.finalize())
+    }
+
+    /// Feed everything observable about a world to `h`.
+    fn hash_world<H: std::hash::Hasher>(w: &World, h: &mut H) {
+        use std::hash::Hash;
+        w.gov_hosts.hash(h);
+        w.seed_list.hash(h);
+        w.whitelist.hash(h);
+        w.gsa_hosts.hash(h);
+        w.rok_hosts.hash(h);
         let mut keys: Vec<&String> = w.records.keys().collect();
         keys.sort();
         for k in keys {
-            k.hash(&mut h);
-            format!("{:?}", w.records[k]).hash(&mut h);
+            k.hash(h);
+            format!("{:?}", w.records[k]).hash(h);
         }
         let mut names: Vec<&str> = w.net.hostnames().collect();
         names.sort_unstable();
         for n in names {
-            format!("{:?}", w.net.host(n)).hash(&mut h);
-            format!("{:?}", w.net.caa_lookup(n)).hash(&mut h);
+            format!("{:?}", w.net.host(n)).hash(h);
+            format!("{:?}", w.net.caa_lookup(n)).hash(h);
         }
         for g in &w.gov_hosts {
-            format!("{:?}", w.net.resolve(g)).hash(&mut h);
+            format!("{:?}", w.net.resolve(g)).hash(h);
         }
-        format!("{:?}", w.tranco).hash(&mut h);
-        format!("{:?}", w.majestic).hash(&mut h);
-        format!("{:?}", w.cisco).hash(&mut h);
+        format!("{:?}", w.tranco).hash(h);
+        format!("{:?}", w.majestic).hash(h);
+        format!("{:?}", w.cisco).hash(h);
         let mut links: Vec<_> = w.webgraph.links.iter().collect();
         links.sort();
-        format!("{links:?}").hash(&mut h);
-        w.cadb.ct_log().root().hash(&mut h);
-        w.cadb.ct_log().size().hash(&mut h);
-        h.finish()
+        format!("{links:?}").hash(h);
+        w.cadb.ct_log().root().hash(h);
+        w.cadb.ct_log().size().hash(h);
+    }
+
+    #[test]
+    fn world_fingerprints_are_pinned() {
+        // Recorded before the worldwide population moved onto
+        // `StreamPlan`; any generated byte that moves changes these.
+        for (seed, pinned) in [
+            (
+                7,
+                "c4ee19110460806405934cfa3b836f8e7dcae59814949701c007034e9ea54b77",
+            ),
+            (
+                0x5EED,
+                "ecabe21bb3f0133ddb29b98db9bc46dc3a356c1e3edf55e94504530ed0c60468",
+            ),
+        ] {
+            let w = World::generate(&WorldConfig::small(seed));
+            assert_eq!(world_fingerprint(&w), pinned, "seed {seed:#x}");
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@ run() {
 
 run cargo build --release --offline --workspace
 run cargo test -q --offline --release --workspace
+# The generator's tests again in the debug profile: the release profile
+# sets no debug-assertions, so worldgen's `debug_assert!`s (no case-study
+# host shadows a worldwide one) and integer-overflow checks only run
+# here.
+run cargo test -q --offline -p govscan-worldgen
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 # Docs build warning-free, so an intra-doc link to a removed or private
