@@ -31,15 +31,12 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use govscan_analysis::trend::{epoch_point, TrendSeries};
-use govscan_net::TlsClientConfig;
-use govscan_pki::trust::TrustStoreProfile;
 use govscan_pki::Time;
 use govscan_scanner::{
-    plan_rescan, Decision, IncrementalPolicy, IncrementalStats, ListScanner, ScanContext,
-    ScanDataset, ScanRecord,
+    plan_rescan, Decision, IncrementalPolicy, IncrementalStats, ScanDataset, ScanRecord,
+    ShardScanner,
 };
 use govscan_store::{Delta, Snapshot, StoreError};
-use govscan_worldgen::hosting::provider_table;
 use govscan_worldgen::{EvolveConfig, MonitorPlan, WorldConfig};
 
 /// Everything that can stop a monitor run.
@@ -211,25 +208,13 @@ impl MonitorReport {
 /// order — bit-identical at any thread count because each shard is a
 /// pure function of `(config, epoch, shard)` and merge order is fixed.
 pub fn full_epoch_scan(plan: &MonitorPlan, epoch: u32, threads: usize) -> ScanDataset {
-    let sp = plan.plan();
     let time = plan.epoch_time(epoch);
-    let providers = provider_table();
-    let trust = sp.cadb().trust_store(TrustStoreProfile::Apple);
-    let ev = sp.cadb().ev_registry();
-    let scanner = ListScanner::new(sp.tranco(), time);
-    let shards = govscan_exec::par_map_indexed(threads, sp.shard_count(), |i| {
+    let scanner = ShardScanner::new(plan.plan(), time);
+    let shards = govscan_exec::par_map_indexed(threads, plan.plan().shard_count(), |i| {
         let state = plan.shard_state(epoch, i);
         let net = plan.realize_all(&state);
         let hostnames: Vec<String> = state.iter().map(|h| h.record.hostname.clone()).collect();
-        let ctx = ScanContext::new(
-            &net,
-            trust,
-            ev,
-            &providers,
-            time,
-            TlsClientConfig::default(),
-        );
-        scanner.scan_list_with(&ctx, &hostnames)
+        scanner.scan(&net, &hostnames)
     });
     merge_shards(shards, time)
 }
@@ -245,17 +230,13 @@ pub fn incremental_epoch_scan(
     disclosed: &HashSet<String>,
     threads: usize,
 ) -> (ScanDataset, IncrementalStats) {
-    let sp = plan.plan();
     let time = plan.epoch_time(epoch);
-    let providers = provider_table();
-    let trust = sp.cadb().trust_store(TrustStoreProfile::Apple);
-    let ev = sp.cadb().ev_registry();
-    let scanner = ListScanner::new(sp.tranco(), time);
+    let scanner = ShardScanner::new(plan.plan(), time);
     let policy = IncrementalPolicy {
         horizon_days: plan.evolve().renewal_horizon_days,
         recently_disclosed: disclosed.clone(),
     };
-    let shards = govscan_exec::par_map_indexed(threads, sp.shard_count(), |i| {
+    let shards = govscan_exec::par_map_indexed(threads, plan.plan().shard_count(), |i| {
         let state = plan.shard_state(epoch, i);
         let iplan = plan_rescan(
             &policy,
@@ -298,15 +279,7 @@ pub fn incremental_epoch_scan(
             .iter()
             .map(|&i| state[i].record.hostname.clone())
             .collect();
-        let ctx = ScanContext::new(
-            &net,
-            trust,
-            ev,
-            &providers,
-            time,
-            TlsClientConfig::default(),
-        );
-        let probed = scanner.scan_list_with(&ctx, &probe_names);
+        let probed = scanner.scan(&net, &probe_names);
         let records: Vec<ScanRecord> = iplan
             .decisions
             .iter()

@@ -1,16 +1,13 @@
-//! The coordinator: shard the host list, lease shards to workers,
-//! merge committed partials, and verify coverage.
+//! The coordinator: lease shard indices to socket workers, merge
+//! committed partials in shard order, and verify coverage.
 //!
-//! Two front-ends share [`LeaseTable`] and the merge/verify tail:
-//! [`run_local`] drives in-process worker threads (tests and the
-//! single-machine repro path), [`Coordinator`] serves the socket
-//! [`protocol`](crate::protocol) to worker processes.
-//!
-//! The host list precondition for both: hostnames are unique and
-//! already lowercase (the pipeline's `final_list` is sorted, deduped,
-//! and lowercased — `scan_host` lowercases on its side too, so a
-//! mixed-case list would make two input hosts collide into one record
-//! and fail the coverage check, by design).
+//! The coordinator holds no host list. What a shard index means is the
+//! workers' business (in the repro bin, shard `i` of a `StreamPlan`
+//! every worker builds from the shared config), so coverage here is
+//! the part a shard count can check: every shard committed once, and
+//! no partial repeating a host of an earlier one. Callers that know the
+//! population compare the merged digest with a reference scan; equal
+//! digests imply exact coverage.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,30 +26,25 @@ use crate::{OrchestrateError, Result};
 /// Tunables for one orchestrated scan.
 #[derive(Debug, Clone)]
 pub struct OrchestratorConfig {
-    /// Worker count: threads in [`run_local`], expected connections in
-    /// [`Coordinator::run`].
+    /// Expected worker connections.
     pub workers: usize,
-    /// Hosts per shard (floored at 1).
-    pub shard_size: usize,
     /// How long a granted lease lives before it expires and is
     /// re-issued.
     pub lease_timeout: Duration,
-    /// Socket mode: how much longer than the lease deadline a handler
-    /// keeps its connection open for a (by then late) result, and the
-    /// idle read/write timeout between exchanges.
+    /// How much longer than the lease deadline a handler keeps its
+    /// connection open for a (by then late) result, and the idle
+    /// read/write timeout between exchanges.
     pub result_grace: Duration,
-    /// Socket mode: how long the coordinator waits for the first/next
-    /// worker to connect before declaring the fleet lost.
+    /// How long the coordinator waits for the first/next worker to
+    /// connect before declaring the fleet lost.
     pub startup_timeout: Duration,
 }
 
 impl OrchestratorConfig {
-    /// Defaults sized for the paper-scale scan: 256-host shards,
-    /// one-minute leases.
+    /// Defaults sized for the paper-scale scan: one-minute leases.
     pub fn new(workers: usize) -> OrchestratorConfig {
         OrchestratorConfig {
             workers,
-            shard_size: 256,
             lease_timeout: Duration::from_secs(60),
             result_grace: Duration::from_secs(60),
             startup_timeout: Duration::from_secs(300),
@@ -63,101 +55,21 @@ impl OrchestratorConfig {
 /// The outcome of a completed orchestration.
 #[derive(Debug)]
 pub struct OrchestrationReport {
-    /// The merged dataset — byte-identical (as a snapshot) to a
-    /// single-process scan of the same host list.
+    /// The shard partials merged in shard order.
     pub dataset: ScanDataset,
     /// Lease accounting: grants, expiries, duplicate commits, ….
     pub stats: OrchestrationStats,
-    /// How many shards the host list was split into.
+    /// How many shards were leased.
     pub shards: usize,
-    /// Hosts scanned.
-    pub hosts: usize,
-    /// Workers that participated (threads started, or connections
-    /// accepted).
+    /// Worker connections accepted.
     pub workers_seen: usize,
 }
 
-/// Faults to inject into [`run_local_faulty`] workers. Grants are
-/// counted per worker, from 1.
-#[derive(Debug, Default, Clone)]
-pub struct FaultPlan {
-    /// `(worker, nth_grant)`: the worker exits upon its n-th grant
-    /// without committing — the lease is reclaimed by expiry.
-    pub deaths: Vec<(usize, u64)>,
-    /// `(worker, nth_grant, pause)`: the worker sleeps before scanning
-    /// its n-th grant — long enough and the lease expires under it,
-    /// and its eventual commit is a duplicate.
-    pub stalls: Vec<(usize, u64, Duration)>,
-}
-
-/// Run a distributed scan with in-process worker threads. `scan` maps
-/// a shard's hostname slice to its partial dataset; it runs
-/// concurrently from `config.workers` threads.
-pub fn run_local<F>(
-    hosts: &[String],
-    scan_time: Time,
-    config: &OrchestratorConfig,
-    scan: F,
-) -> Result<OrchestrationReport>
-where
-    F: Fn(&[String]) -> ScanDataset + Sync,
-{
-    run_local_faulty(hosts, scan_time, config, scan, &FaultPlan::default())
-}
-
-/// [`run_local`] with fault injection — the test harness for lease
-/// recovery. Worker deaths here model a thread that stops participating
-/// while holding a lease (reclaimed by deadline expiry, since there is
-/// no connection to sense); stalls model a slow scan overtaken by a
-/// re-issue.
-pub fn run_local_faulty<F>(
-    hosts: &[String],
-    scan_time: Time,
-    config: &OrchestratorConfig,
-    scan: F,
-    faults: &FaultPlan,
-) -> Result<OrchestrationReport>
-where
-    F: Fn(&[String]) -> ScanDataset + Sync,
-{
-    let table = LeaseTable::new(hosts.len(), config.shard_size, config.lease_timeout);
-    let workers = config.workers.max(1);
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let table = &table;
-            let scan = &scan;
-            s.spawn(move || {
-                let mut grants = 0u64;
-                while let Some(lease) = table.acquire() {
-                    grants += 1;
-                    if faults.deaths.contains(&(w, grants)) {
-                        return; // dies holding the lease
-                    }
-                    if let Some((_, _, pause)) = faults
-                        .stalls
-                        .iter()
-                        .find(|(fw, fg, _)| (*fw, *fg) == (w, grants))
-                    {
-                        std::thread::sleep(*pause);
-                    }
-                    let partial = scan(&hosts[lease.shard.start..lease.shard.end]);
-                    table.commit(lease.shard.index, lease.attempt, partial);
-                }
-            });
-        }
-        // If every worker dies mid-lease, the remaining acquirers have
-        // already returned: nothing re-arms, the scope joins, and
-        // `finish` reports the run incomplete. No watchdog needed.
-    });
-    finish(hosts, scan_time, table, workers)
-}
-
-/// The socket-mode coordinator: accepts worker connections and serves
-/// each one the Request/Grant/Result loop through a
-/// [`govscan_exec::WorkerPool`] of connection handlers.
+/// The coordinator: accepts worker connections and serves each one the
+/// Request/Grant/Result loop through a [`govscan_exec::WorkerPool`] of
+/// connection handlers.
 pub struct Coordinator {
     listener: TcpListener,
-    hosts: Arc<Vec<String>>,
     scan_time: Time,
     config: OrchestratorConfig,
     table: Arc<LeaseTable>,
@@ -165,23 +77,19 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Bind the coordination socket (use port 0 for an OS-assigned
-    /// port) and shard `hosts` into the lease table.
+    /// port) and start shards `0..shard_count` pending. The merged
+    /// dataset carries `scan_time`.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        hosts: Vec<String>,
+        shard_count: usize,
         scan_time: Time,
         config: OrchestratorConfig,
     ) -> Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let table = Arc::new(LeaseTable::new(
-            hosts.len(),
-            config.shard_size,
-            config.lease_timeout,
-        ));
+        let table = Arc::new(LeaseTable::new(shard_count, config.lease_timeout));
         Ok(Coordinator {
             listener,
-            hosts: Arc::new(hosts),
             scan_time,
             config,
             table,
@@ -200,7 +108,6 @@ impl Coordinator {
     pub fn run(self) -> Result<OrchestrationReport> {
         let Coordinator {
             listener,
-            hosts,
             scan_time,
             config,
             table,
@@ -208,14 +115,13 @@ impl Coordinator {
         let live = Arc::new(AtomicUsize::new(0));
         let handler = {
             let table = Arc::clone(&table);
-            let hosts = Arc::clone(&hosts);
             let live = Arc::clone(&live);
             let grace = config.result_grace;
             move |stream: TcpStream| {
                 // Connection failures are per-worker events, fully
                 // accounted for in the lease table (abandons); the run
                 // itself only fails if *no* worker can finish.
-                let _ = serve_worker(&table, &hosts, grace, stream);
+                let _ = serve_worker(&table, grace, stream);
                 live.fetch_sub(1, Ordering::SeqCst);
             }
         };
@@ -228,7 +134,7 @@ impl Coordinator {
             }
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(false).is_err() {
+                    if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
                         continue; // connection already dead
                     }
                     let _ = stream.set_write_timeout(Some(config.result_grace));
@@ -275,19 +181,14 @@ impl Coordinator {
         let table = Arc::try_unwrap(table)
             .ok()
             .expect("handlers dropped their table refs at pool join");
-        finish(&hosts, scan_time, table, seen)
+        finish(scan_time, table, seen)
     }
 }
 
 /// Serve one worker connection: Hello, then Request → Grant → Result
 /// until the table runs dry (send Done) or the connection dies (abandon
 /// whatever lease it held).
-fn serve_worker(
-    table: &LeaseTable,
-    hosts: &[String],
-    grace: Duration,
-    mut stream: TcpStream,
-) -> Result<()> {
+fn serve_worker(table: &LeaseTable, grace: Duration, mut stream: TcpStream) -> Result<()> {
     let grace = grace.max(Duration::from_millis(10));
     stream.set_read_timeout(Some(grace))?;
     match read_message(&mut stream) {
@@ -317,12 +218,11 @@ fn serve_worker(
             return Ok(());
         };
         let grant = Message::Grant {
-            shard: lease.shard.index as u64,
+            shard: lease.shard as u64,
             attempt: lease.attempt,
-            hostnames: hosts[lease.shard.start..lease.shard.end].to_vec(),
         };
         if let Err(e) = write_message(&mut stream, &grant) {
-            table.abandon(lease.shard.index, lease.attempt);
+            table.abandon(lease.shard, lease.attempt);
             return Err(e.into());
         }
         // Wait out the lease (plus grace, so a result that raced the
@@ -336,25 +236,25 @@ fn serve_worker(
                 attempt,
                 snapshot,
             }) => {
-                if (shard as usize, attempt) != (lease.shard.index, lease.attempt) {
-                    table.abandon(lease.shard.index, lease.attempt);
+                if (shard as usize, attempt) != (lease.shard, lease.attempt) {
+                    table.abandon(lease.shard, lease.attempt);
                     return Err(OrchestrateError::Protocol(format!(
                         "result for shard {shard} attempt {attempt}, lease was shard {} attempt {}",
-                        lease.shard.index, lease.attempt
+                        lease.shard, lease.attempt
                     )));
                 }
                 match Snapshot::from_bytes(snapshot).and_then(|s| s.dataset()) {
                     Ok(partial) => {
-                        table.commit(lease.shard.index, lease.attempt, partial);
+                        table.commit(lease.shard, lease.attempt, partial);
                     }
                     Err(e) => {
-                        table.abandon(lease.shard.index, lease.attempt);
+                        table.abandon(lease.shard, lease.attempt);
                         return Err(e.into());
                     }
                 }
             }
             Ok(other) => {
-                table.abandon(lease.shard.index, lease.attempt);
+                table.abandon(lease.shard, lease.attempt);
                 return Err(OrchestrateError::Protocol(format!(
                     "expected Result, got {other:?}"
                 )));
@@ -363,62 +263,32 @@ fn serve_worker(
                 // Death or stall past deadline+grace: give the lease
                 // back (expiry may already have re-issued it — then
                 // this abandon is a stale no-op).
-                table.abandon(lease.shard.index, lease.attempt);
+                table.abandon(lease.shard, lease.attempt);
                 return Err(e.into());
             }
         }
     }
 }
 
-/// Merge committed partials in shard order and verify coverage: the
-/// merged dataset must contain exactly the input hosts, once each.
-fn finish(
-    hosts: &[String],
-    scan_time: Time,
-    table: LeaseTable,
-    workers_seen: usize,
-) -> Result<OrchestrationReport> {
-    let (shards, partials, stats) = table.into_parts()?;
-    let shard_count = shards.len();
+/// Merge committed partials in shard order. A partial that replaces an
+/// earlier shard's record fails the run: shards must partition the
+/// population.
+fn finish(scan_time: Time, table: LeaseTable, workers_seen: usize) -> Result<OrchestrationReport> {
+    let (partials, stats) = table.into_parts()?;
+    let shards = partials.len();
     let mut dataset = ScanDataset::new(Vec::new(), scan_time);
-    for (shard, partial) in shards.iter().zip(partials) {
-        if partial.len() != shard.len() {
-            return Err(OrchestrateError::Coverage {
-                detail: format!(
-                    "shard {} committed {} records for {} hosts",
-                    shard.index,
-                    partial.len(),
-                    shard.len()
-                ),
-            });
-        }
+    for (shard, partial) in partials.into_iter().enumerate() {
         let replaced = dataset.extend(partial);
         if replaced != 0 {
             return Err(OrchestrateError::Coverage {
-                detail: format!(
-                    "shard {} overlapped {replaced} earlier records",
-                    shard.index
-                ),
-            });
-        }
-    }
-    if dataset.len() != hosts.len() {
-        return Err(OrchestrateError::Coverage {
-            detail: format!("merged {} records for {} hosts", dataset.len(), hosts.len()),
-        });
-    }
-    for host in hosts {
-        if dataset.get(&host.to_ascii_lowercase()).is_none() {
-            return Err(OrchestrateError::Coverage {
-                detail: format!("host {host} missing from the merged dataset"),
+                detail: format!("shard {shard} overlapped {replaced} earlier records"),
             });
         }
     }
     Ok(OrchestrationReport {
         dataset,
         stats,
-        shards: shard_count,
-        hosts: hosts.len(),
+        shards,
         workers_seen,
     })
 }

@@ -2,12 +2,14 @@
 //! split over the §4.2.3 measurement scan.
 //!
 //! The paper's April 2020 scan of ~135k government hosts ran in one
-//! process. This crate scales that scan past one process in the style
-//! of the ZMap-era measurement infrastructure: a **coordinator** shards
-//! the host list into contiguous [`Shard`]s, hands them to N workers as
-//! deadline-carrying [`Lease`]s, collects partial [`ScanDataset`]s, and
-//! merges them — in shard order — through the dataset's last-write-wins
-//! `extend`.
+//! process. This crate scales that scan past one process the way ZMap
+//! shards a scan: every worker derives its own targets from shared
+//! configuration and a shard index. The [`Coordinator`] leases shard
+//! indices `0..n` to worker processes as deadline-carrying [`Lease`]s,
+//! collects partial [`ScanDataset`]s, and merges them — in shard
+//! order — through the dataset's last-write-wins `extend`. What an
+//! index means is up to the caller's scan closure; the crate never sees
+//! a host list.
 //!
 //! Fault model (at-least-once, idempotent):
 //!
@@ -19,21 +21,15 @@
 //!   result is dropped (or, if it races ahead of the re-issued holder,
 //!   accepted — the scan is deterministic, so either attempt's data is
 //!   byte-identical).
-//! * The run ends with a completeness check: every input host owned by
-//!   exactly one committed lease, and the merged dataset covering the
-//!   host list exactly. The merged result is **byte-identical** to a
-//!   single-process scan of the same list (the fault-injection suite
-//!   asserts digest equality through `govscan-store`).
+//! * The run ends with a coverage check: every shard committed exactly
+//!   once, and no partial replacing an earlier shard's records. The
+//!   fault-injection suite asserts the merged dataset **byte-identical**
+//!   to a single-process scan through `govscan-store` digests.
 //!
-//! Two deployment shapes share the same lease table:
+//! Workers ([`run_worker`]) speak the length-prefixed [`protocol`] over
+//! a local TCP socket, with partial datasets carried as `govscan-store`
+//! snapshot bytes.
 //!
-//! * [`run_local`] / [`run_local_faulty`] — in-process worker threads
-//!   (tests, and the `--distributed` repro path).
-//! * [`Coordinator`] + [`run_worker`] — worker processes speaking the
-//!   length-prefixed [`protocol`] over a local TCP socket, with partial
-//!   datasets carried as `govscan-store` snapshot bytes.
-//!
-//! [`Shard`]: lease::Shard
 //! [`Lease`]: lease::Lease
 //! [`ScanDataset`]: govscan_scanner::ScanDataset
 
@@ -45,10 +41,8 @@ pub mod lease;
 pub mod protocol;
 pub mod worker;
 
-pub use coordinator::{
-    run_local, run_local_faulty, Coordinator, FaultPlan, OrchestrationReport, OrchestratorConfig,
-};
-pub use lease::{Acquire, CommitOutcome, Lease, LeaseTable, OrchestrationStats, Shard};
+pub use coordinator::{Coordinator, OrchestrationReport, OrchestratorConfig};
+pub use lease::{Acquire, CommitOutcome, Lease, LeaseTable, OrchestrationStats};
 pub use protocol::Message;
 pub use worker::{run_worker, run_worker_faulty, WorkerFaults, WorkerSummary};
 
@@ -73,9 +67,9 @@ pub enum OrchestrateError {
         /// What the coordinator observed.
         detail: String,
     },
-    /// The merged dataset does not cover the host list exactly.
+    /// A shard's partial overlapped an earlier shard's records.
     Coverage {
-        /// Which host or count mismatched.
+        /// Which shard overlapped, and by how many records.
         detail: String,
     },
 }

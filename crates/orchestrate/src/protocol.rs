@@ -12,16 +12,18 @@
 //! worker → coordinator            coordinator → worker
 //! ───────────────────            ────────────────────
 //! Hello { worker }
-//! Request          ───────────►  Grant { shard, attempt, hostnames }
+//! Request          ───────────►  Grant { shard, attempt }
 //! Result { shard,                 …or Done (nothing left: drain and
 //!          attempt,                  disconnect)
 //!          snapshot }
 //! ```
 //!
-//! A worker loops Request → Grant → Result until the coordinator
-//! answers a Request with `Done`. Dropping the connection at any point
-//! is a legal (crash) exit: the coordinator abandons whatever lease the
-//! connection held.
+//! A Grant names a shard index, not hosts: the worker derives the
+//! shard's population itself (in the repro bin, from a `StreamPlan` it
+//! builds from the shared config). A worker loops Request → Grant →
+//! Result until the coordinator answers a Request with `Done`. Dropping
+//! the connection at any point is a legal (crash) exit: the coordinator
+//! abandons whatever lease the connection held.
 
 use std::io::{self, Read, Write};
 
@@ -46,14 +48,12 @@ pub enum Message {
     },
     /// Worker asks for a lease.
     Request,
-    /// Coordinator grants a lease over an explicit hostname list.
+    /// Coordinator grants a lease over one shard index.
     Grant {
         /// Shard index (echoed back in the Result).
         shard: u64,
         /// Lease attempt (echoed back in the Result).
         attempt: u32,
-        /// The hostnames to scan, in host-list order.
-        hostnames: Vec<String>,
     },
     /// Worker delivers a shard result as snapshot bytes.
     Result {
@@ -112,10 +112,6 @@ impl<'a> Payload<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| bad_frame("non-utf8 string"))
-    }
-
     fn finish(self) -> io::Result<()> {
         if self.rest.is_empty() {
             Ok(())
@@ -138,18 +134,10 @@ pub fn write_message(w: &mut impl Write, message: &Message) -> io::Result<()> {
             put_u64(&mut payload, *worker);
         }
         Message::Request => payload.push(TAG_REQUEST),
-        Message::Grant {
-            shard,
-            attempt,
-            hostnames,
-        } => {
+        Message::Grant { shard, attempt } => {
             payload.push(TAG_GRANT);
             put_u64(&mut payload, *shard);
             put_u32(&mut payload, *attempt);
-            put_u32(&mut payload, hostnames.len() as u32);
-            for h in hostnames {
-                put_bytes(&mut payload, h.as_bytes());
-            }
         }
         Message::Result {
             shard,
@@ -169,9 +157,11 @@ pub fn write_message(w: &mut impl Write, message: &Message) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame from `r` and decode it. EOF at a frame boundary
-/// surfaces as `UnexpectedEof`; an oversized length prefix, unknown
-/// tag, or truncated payload as `InvalidData`.
+/// Read one frame from `r` and decode it. EOF at a frame boundary or
+/// inside a payload surfaces as `UnexpectedEof`; an oversized length
+/// prefix, unknown tag, or truncated payload as `InvalidData`. The
+/// payload buffer grows with the bytes that actually arrive, so a
+/// length prefix alone never sizes an allocation.
 pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -182,28 +172,24 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
     if len > MAX_FRAME {
         return Err(bad_frame("frame exceeds MAX_FRAME"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame shorter than its length prefix",
+        ));
+    }
     let mut p = Payload {
         rest: &payload[1..],
     };
     let message = match payload[0] {
         TAG_HELLO => Message::Hello { worker: p.u64()? },
         TAG_REQUEST => Message::Request,
-        TAG_GRANT => {
-            let shard = p.u64()?;
-            let attempt = p.u32()?;
-            let count = p.u32()? as usize;
-            let mut hostnames = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                hostnames.push(p.string()?);
-            }
-            Message::Grant {
-                shard,
-                attempt,
-                hostnames,
-            }
-        }
+        TAG_GRANT => Message::Grant {
+            shard: p.u64()?,
+            attempt: p.u32()?,
+        },
         TAG_RESULT => Message::Result {
             shard: p.u64()?,
             attempt: p.u32()?,
@@ -235,7 +221,6 @@ mod tests {
         roundtrip(Message::Grant {
             shard: 7,
             attempt: 3,
-            hostnames: vec!["a.gov".into(), "b.gouv.fr".into(), String::new()],
         });
         roundtrip(Message::Result {
             shard: 7,
@@ -287,5 +272,41 @@ mod tests {
         trailing.extend_from_slice(&[TAG_REQUEST, 0x00]);
         let err = read_message(&mut Cursor::new(&trailing)).expect_err("trailing");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Offers a frame prefix, then a few payload bytes, then EOF, and
+    /// records the largest buffer the reader is handed.
+    struct Dribble {
+        bytes: Vec<u8>,
+        pos: usize,
+        largest: usize,
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.bytes.len() - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_alone_never_sizes_an_allocation() {
+        let mut bytes = Vec::from(MAX_FRAME.to_le_bytes());
+        bytes.extend_from_slice(&[TAG_RESULT; 10]);
+        let mut r = Dribble {
+            bytes,
+            pos: 0,
+            largest: 0,
+        };
+        let err = read_message(&mut r).expect_err("payload ends after 10 bytes");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest <= 64 * 1024,
+            "reader was offered a {}-byte buffer",
+            r.largest
+        );
     }
 }

@@ -28,7 +28,7 @@ pub struct WorkerFaults {
 pub struct WorkerSummary {
     /// Shards scanned and delivered.
     pub shards: u64,
-    /// Hosts scanned across all delivered shards.
+    /// Records delivered across all shards.
     pub hosts: u64,
     /// True if the worker exited via an injected death (the connection
     /// was dropped deliberately, not drained with Done).
@@ -36,12 +36,12 @@ pub struct WorkerSummary {
 }
 
 /// Run a well-behaved worker against the coordinator at `addr`. `scan`
-/// maps a granted hostname slice to its partial dataset — in the repro
-/// bin this is `StudyPipeline::scan_list_with` over a shared context.
+/// maps a granted shard index to its partial dataset — in the repro bin,
+/// it realizes that shard of the worker's own `StreamPlan` and scans it.
 pub fn run_worker<A, F>(addr: A, worker_id: u64, scan: F) -> Result<WorkerSummary>
 where
     A: ToSocketAddrs,
-    F: FnMut(&[String]) -> ScanDataset,
+    F: FnMut(usize) -> ScanDataset,
 {
     run_worker_faulty(addr, worker_id, scan, &WorkerFaults::default())
 }
@@ -56,20 +56,20 @@ pub fn run_worker_faulty<A, F>(
 ) -> Result<WorkerSummary>
 where
     A: ToSocketAddrs,
-    F: FnMut(&[String]) -> ScanDataset,
+    F: FnMut(usize) -> ScanDataset,
 {
     let mut stream = TcpStream::connect(addr)?;
+    // Frames are small and strictly request/response: without this,
+    // Nagle's algorithm holds each Request behind the delayed ACK of
+    // the Result before it.
+    stream.set_nodelay(true)?;
     write_message(&mut stream, &Message::Hello { worker: worker_id })?;
     let mut summary = WorkerSummary::default();
     let mut grants = 0u64;
     loop {
         write_message(&mut stream, &Message::Request)?;
-        let (shard, attempt, hostnames) = match read_message(&mut stream)? {
-            Message::Grant {
-                shard,
-                attempt,
-                hostnames,
-            } => (shard, attempt, hostnames),
+        let (shard, attempt) = match read_message(&mut stream)? {
+            Message::Grant { shard, attempt } => (shard, attempt),
             Message::Done => return Ok(summary),
             other => {
                 return Err(OrchestrateError::Protocol(format!(
@@ -89,10 +89,10 @@ where
                 std::thread::sleep(pause);
             }
         }
-        let partial = scan(&hostnames);
+        let partial = scan(shard as usize);
         let snapshot = Snapshot::encode(&partial)?;
         summary.shards += 1;
-        summary.hosts += hostnames.len() as u64;
+        summary.hosts += partial.len() as u64;
         write_message(
             &mut stream,
             &Message::Result {

@@ -1,16 +1,23 @@
 //! Fault-injection suite: distributed scans under worker death, stall,
-//! and duplicate commit must merge to a dataset **byte-identical** to a
-//! single-process scan of the same host list.
+//! duplicate commit and dishonest results must merge to a dataset
+//! **byte-identical** to a single-process scan of the same host list,
+//! or fail with a typed error.
 //!
 //! "Byte-identical" is checked the strong way: `Snapshot::encode` of
 //! the merged dataset equals the serial scan's encoding (and therefore
 //! so do the content digests the archive layer keys on).
+//!
+//! The coordinator leases shard indices; every worker here maps shard
+//! `i` to chunk `i` of a small world's discovery list, so the stall
+//! tests can run on a handful of shards.
 
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use govscan_orchestrate::protocol::{read_message, write_message, Message};
 use govscan_orchestrate::{
-    protocol, run_local, run_local_faulty, Coordinator, FaultPlan, OrchestrationReport,
-    OrchestratorConfig, WorkerFaults,
+    run_worker_faulty, Coordinator, OrchestrateError, OrchestrationReport, OrchestratorConfig,
+    WorkerFaults, WorkerSummary,
 };
 use govscan_scanner::{ScanDataset, StudyPipeline};
 use govscan_store::Snapshot;
@@ -34,9 +41,12 @@ impl Fixture {
         }
     }
 
-    fn prepare(&self) -> Prepared<'_> {
+    /// Discovery and the serial scan, over the first `take` hosts of the
+    /// discovery list.
+    fn prepare(&self, take: usize) -> Prepared<'_> {
         let pipeline = StudyPipeline::new(&self.world);
-        let hosts = pipeline.discover().final_list;
+        let mut hosts = pipeline.discover().final_list;
+        hosts.truncate(take);
         let serial = pipeline.scan_list(&hosts);
         Prepared {
             pipeline,
@@ -44,6 +54,89 @@ impl Fixture {
             serial,
         }
     }
+}
+
+impl Prepared<'_> {
+    fn shard_count(&self, chunk: usize) -> usize {
+        self.hosts.len().div_ceil(chunk)
+    }
+
+    /// Shard `i`: chunk `i` of the host list.
+    fn shard(&self, chunk: usize, i: usize) -> &[String] {
+        self.hosts
+            .chunks(chunk)
+            .nth(i)
+            .expect("leased shard in range")
+    }
+
+    /// A coordinator for this host list cut into `chunk`-host shards.
+    fn coordinator(&self, chunk: usize, cfg: OrchestratorConfig) -> Coordinator {
+        let scan_time = self.serial.scan_time.expect("scan time");
+        Coordinator::bind(("127.0.0.1", 0), self.shard_count(chunk), scan_time, cfg).expect("bind")
+    }
+
+    /// Run a coordinator against one `run_worker_faulty` client per
+    /// entry of `faults`, each scanning through its own context.
+    fn run_fleet(
+        &self,
+        chunk: usize,
+        cfg: OrchestratorConfig,
+        faults: Vec<WorkerFaults>,
+    ) -> (
+        govscan_orchestrate::Result<OrchestrationReport>,
+        Vec<WorkerSummary>,
+    ) {
+        let coordinator = self.coordinator(chunk, cfg);
+        let addr = coordinator.local_addr().expect("addr");
+        std::thread::scope(|s| {
+            let run = s.spawn(move || coordinator.run());
+            let workers: Vec<_> = faults
+                .into_iter()
+                .enumerate()
+                .map(|(i, faults)| {
+                    s.spawn(move || {
+                        let ctx = self.pipeline.context();
+                        run_worker_faulty(
+                            addr,
+                            i as u64,
+                            |shard| self.pipeline.scan_list_with(&ctx, self.shard(chunk, shard)),
+                            &faults,
+                        )
+                    })
+                })
+                .collect();
+            let summaries = workers
+                .into_iter()
+                .map(|w| w.join().expect("worker thread").expect("worker exits"))
+                .collect();
+            (run.join().expect("coordinator thread"), summaries)
+        })
+    }
+
+    /// The snapshot bytes of scanning `hosts`.
+    fn snapshot(&self, hosts: &[String]) -> Vec<u8> {
+        Snapshot::encode(&self.pipeline.scan_list(hosts)).expect("encode")
+    }
+}
+
+/// A hand-rolled socket worker, for replies and exits `run_worker`
+/// never makes: Hello, then `grants` Request → Grant → `reply` rounds.
+/// Returns the still-open stream.
+fn hand_rolled_worker(
+    addr: SocketAddr,
+    grants: usize,
+    mut reply: impl FnMut(u64, u32) -> Message,
+) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_message(&mut stream, &Message::Hello { worker: 9 }).expect("hello");
+    for _ in 0..grants {
+        write_message(&mut stream, &Message::Request).expect("request");
+        let Message::Grant { shard, attempt } = read_message(&mut stream).expect("grant") else {
+            panic!("expected a grant");
+        };
+        write_message(&mut stream, &reply(shard, attempt)).expect("result");
+    }
+    stream
 }
 
 fn assert_byte_identical(report: &OrchestrationReport, serial: &ScanDataset) {
@@ -60,29 +153,35 @@ fn assert_byte_identical(report: &OrchestrationReport, serial: &ScanDataset) {
     );
 }
 
-fn config(workers: usize, shard_size: usize, lease_ms: u64) -> OrchestratorConfig {
+fn config(workers: usize, lease_ms: u64) -> OrchestratorConfig {
     let mut config = OrchestratorConfig::new(workers);
-    config.shard_size = shard_size;
     config.lease_timeout = Duration::from_millis(lease_ms);
     config
+}
+
+fn die_on_first_grant() -> WorkerFaults {
+    WorkerFaults {
+        die_after_grant: Some(1),
+        stall: None,
+    }
+}
+
+fn stall_on_first_grant(pause: Duration) -> WorkerFaults {
+    WorkerFaults {
+        die_after_grant: None,
+        stall: Some((1, pause)),
+    }
 }
 
 #[test]
 fn healthy_distributed_scan_is_byte_identical_to_serial() {
     let fx = Fixture::new(0xD157);
-    let p = fx.prepare();
-    let ctx = p.pipeline.context();
-    let cfg = config(3, 17, 60_000);
-    let report = run_local(
-        &p.hosts,
-        *p.serial.scan_time.as_ref().expect("scan time"),
-        &cfg,
-        |shard| p.pipeline.scan_list_with(&ctx, shard),
-    )
-    .expect("orchestration completes");
+    let p = fx.prepare(usize::MAX);
+    let (report, _) = p.run_fleet(17, config(3, 60_000), vec![WorkerFaults::default(); 3]);
+    let report = report.expect("orchestration completes");
 
     assert_byte_identical(&report, &p.serial);
-    assert_eq!(report.hosts, p.hosts.len());
+    assert_eq!(report.dataset.len(), p.hosts.len());
     assert!(report.shards >= 3, "host list spans several shards");
     let s = &report.stats;
     assert_eq!(s.grants, report.shards as u64, "no re-issues when healthy");
@@ -94,66 +193,27 @@ fn healthy_distributed_scan_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn worker_death_mid_shard_recovers_by_lease_expiry() {
-    let fx = Fixture::new(0xDEAD);
-    let p = fx.prepare();
-    let ctx = p.pipeline.context();
-    // Short leases so the dead thread's shard comes back quickly; in
-    // local mode there is no connection to sense, so death recovery IS
-    // the expiry path.
-    let cfg = config(3, 13, 150);
-    let faults = FaultPlan {
-        deaths: vec![(0, 1)],
-        stalls: Vec::new(),
-    };
-    let report = run_local_faulty(
-        &p.hosts,
-        *p.serial.scan_time.as_ref().expect("scan time"),
-        &cfg,
-        |shard| p.pipeline.scan_list_with(&ctx, shard),
-        &faults,
-    )
-    .expect("survives a worker death");
-
-    assert_byte_identical(&report, &p.serial);
-    let s = &report.stats;
-    assert!(s.expiries >= 1, "the dead worker's lease expired: {s:?}");
-    assert_eq!(
-        s.grants,
-        report.shards as u64 + s.expiries + s.abandons,
-        "one grant per shard plus one per recovery: {s:?}"
-    );
-    assert_eq!(s.commits, report.shards as u64, "one commit per shard");
-}
-
-#[test]
 fn stalled_worker_past_deadline_is_overtaken_and_deduplicated() {
     let fx = Fixture::new(0x57A1);
-    let p = fx.prepare();
-    let ctx = p.pipeline.context();
     // Few shards: the healthy worker must run out of pending work well
     // inside the stall, so reclaiming the expired lease is its only
     // path to completion (pending shards are preferred over expiries).
-    let hosts: Vec<String> = p.hosts.iter().take(120).cloned().collect();
-    let serial = p.pipeline.scan_list(&hosts);
-    let cfg = config(2, 30, 150);
-    let faults = FaultPlan {
-        deaths: Vec::new(),
-        // Sleep far past the 150ms lease on the first grant; the healthy
-        // worker re-acquires the shard by expiry and commits it, then
-        // the stalled worker wakes and delivers a duplicate.
-        stalls: vec![(0, 1, Duration::from_secs(2))],
-    };
-    let report = run_local_faulty(
-        &hosts,
-        *serial.scan_time.as_ref().expect("scan time"),
-        &cfg,
-        |shard| p.pipeline.scan_list_with(&ctx, shard),
-        &faults,
-    )
-    .expect("survives a stalled worker");
+    let p = fx.prepare(120);
+    let mut cfg = config(2, 150);
+    // Keep the stalled worker's connection open long enough for its
+    // late Result to arrive and be counted.
+    cfg.result_grace = Duration::from_secs(10);
+    // Sleep far past the 150ms lease on the first grant; the healthy
+    // worker re-acquires the shard by expiry and commits it, then the
+    // stalled worker wakes and delivers a duplicate.
+    let faults = vec![
+        stall_on_first_grant(Duration::from_secs(2)),
+        WorkerFaults::default(),
+    ];
+    let (report, _) = p.run_fleet(30, cfg, faults);
+    let report = report.expect("survives a stalled worker");
 
-    assert_byte_identical(&report, &serial);
+    assert_byte_identical(&report, &p.serial);
     let s = &report.stats;
     assert!(s.expiries >= 1, "the stalled lease expired: {s:?}");
     assert_eq!(
@@ -164,72 +224,32 @@ fn stalled_worker_past_deadline_is_overtaken_and_deduplicated() {
     assert_eq!(s.commits, report.shards as u64, "one commit per shard");
 }
 
-/// The acceptance-criteria scenario, over the real socket protocol:
-/// one worker killed mid-shard, another stalled past its lease
-/// deadline, and the merged dataset still digests identically to the
-/// single-process scan.
+/// The acceptance-criteria scenario: one worker killed mid-shard,
+/// another stalled past its lease deadline, and the merged dataset
+/// still digests identically to the single-process scan.
 #[test]
 fn socket_mode_survives_death_and_stall_with_identical_digest() {
     let fx = Fixture::new(0x50CC);
-    let p = fx.prepare();
     // A small host subset in few shards, so the healthy worker drains
     // every pending shard well inside the stall window and is forced
     // onto the expiry path (pending shards are preferred over expired
     // ones — with hundreds of shards the stall would resolve itself
     // before anyone needed the expired lease).
-    let hosts: Vec<String> = p.hosts.iter().take(120).cloned().collect();
-    let serial = p.pipeline.scan_list(&hosts);
-    let scan_time = *serial.scan_time.as_ref().expect("scan time");
-    let mut cfg = config(3, 30, 400);
+    let p = fx.prepare(120);
+    let mut cfg = config(3, 400);
     // Keep the stalled worker's connection open long enough for its
     // late Result to arrive and be counted (as accepted-late or
     // duplicate) instead of EPIPE-ing.
     cfg.result_grace = Duration::from_secs(10);
-    let coordinator =
-        Coordinator::bind(("127.0.0.1", 0), hosts.clone(), scan_time, cfg).expect("bind");
-    let addr = coordinator.local_addr().expect("addr");
+    let faults = vec![
+        die_on_first_grant(),
+        stall_on_first_grant(Duration::from_secs(2)),
+        WorkerFaults::default(),
+    ];
+    let (report, summaries) = p.run_fleet(30, cfg, faults);
+    let report = report.expect("coordinator completes");
 
-    let (report, summaries) = std::thread::scope(|s| {
-        let run = s.spawn(move || coordinator.run());
-        let worker_faults = [
-            WorkerFaults {
-                die_after_grant: Some(1),
-                stall: None,
-            },
-            WorkerFaults {
-                die_after_grant: None,
-                stall: Some((1, Duration::from_secs(2))),
-            },
-            WorkerFaults::default(),
-        ];
-        let pipeline = &p.pipeline;
-        let workers: Vec<_> = worker_faults
-            .into_iter()
-            .enumerate()
-            .map(|(i, faults)| {
-                s.spawn(move || {
-                    let ctx = pipeline.context();
-                    govscan_orchestrate::run_worker_faulty(
-                        addr,
-                        i as u64,
-                        |shard| pipeline.scan_list_with(&ctx, shard),
-                        &faults,
-                    )
-                })
-            })
-            .collect();
-        let summaries: Vec<_> = workers
-            .into_iter()
-            .map(|w| w.join().expect("worker thread").expect("worker exits"))
-            .collect();
-        let report = run
-            .join()
-            .expect("coordinator thread")
-            .expect("coordinator completes");
-        (report, summaries)
-    });
-
-    assert_byte_identical(&report, &serial);
+    assert_byte_identical(&report, &p.serial);
     assert_eq!(report.workers_seen, 3);
     assert!(summaries[0].died, "worker 0 executed its injected death");
     assert!(!summaries[2].died);
@@ -247,56 +267,26 @@ fn socket_mode_survives_death_and_stall_with_identical_digest() {
     );
 }
 
-/// Satellite edge case: the *last* worker dies right after committing
-/// its final shard (instead of draining with Request → Done). All
-/// shards are committed, so the coordinator must complete, not report
-/// the fleet lost.
+/// The *last* worker dies right after committing its final shard
+/// (instead of draining with Request → Done). All shards are
+/// committed, so the coordinator must complete, not report the fleet
+/// lost.
 #[test]
 fn coordinator_completes_when_last_worker_dies_after_committing() {
-    use protocol::{read_message, write_message, Message};
-    use std::net::TcpStream;
-
     let fx = Fixture::new(0x1A57);
-    let p = fx.prepare();
-    let scan_time = *p.serial.scan_time.as_ref().expect("scan time");
-    let cfg = config(1, 50, 60_000);
-    let coordinator =
-        Coordinator::bind(("127.0.0.1", 0), p.hosts.clone(), scan_time, cfg).expect("bind");
+    let p = fx.prepare(usize::MAX);
+    let shard_total = p.shard_count(50);
+    let coordinator = p.coordinator(50, config(1, 60_000));
     let addr = coordinator.local_addr().expect("addr");
-    let shard_total = p.hosts.len().div_ceil(50);
 
     let report = std::thread::scope(|s| {
         let run = s.spawn(move || coordinator.run());
-        let pipeline = &p.pipeline;
-        s.spawn(move || {
-            // A hand-rolled worker so we control the exit: commit every
-            // shard, then vanish without the closing Request/Done
-            // exchange.
-            let ctx = pipeline.context();
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            write_message(&mut stream, &Message::Hello { worker: 9 }).expect("hello");
-            for _ in 0..shard_total {
-                write_message(&mut stream, &Message::Request).expect("request");
-                let Message::Grant {
-                    shard,
-                    attempt,
-                    hostnames,
-                } = read_message(&mut stream).expect("grant")
-                else {
-                    panic!("expected a grant");
-                };
-                let partial = pipeline.scan_list_with(&ctx, &hostnames);
-                let snapshot = Snapshot::encode(&partial).expect("encode");
-                write_message(
-                    &mut stream,
-                    &Message::Result {
-                        shard,
-                        attempt,
-                        snapshot,
-                    },
-                )
-                .expect("result");
-            }
+        s.spawn(|| {
+            let stream = hand_rolled_worker(addr, shard_total, |shard, attempt| Message::Result {
+                shard,
+                attempt,
+                snapshot: p.snapshot(p.shard(50, shard as usize)),
+            });
             drop(stream); // dies here, with everything committed
         });
         run.join()
@@ -310,43 +300,98 @@ fn coordinator_completes_when_last_worker_dies_after_committing() {
     assert_eq!(report.stats.abandons, 0, "no lease was outstanding");
 }
 
+/// A Result that echoes the wrong attempt or the wrong shard ends its
+/// connection with the lease abandoned; an honest worker still
+/// completes the run.
+#[test]
+fn mismatched_result_echo_abandons_the_lease() {
+    let fx = Fixture::new(0xEC40);
+    let p = fx.prepare(120);
+    let coordinator = p.coordinator(30, config(3, 60_000));
+    let addr = coordinator.local_addr().expect("addr");
+
+    let report = std::thread::scope(|s| {
+        let run = s.spawn(move || coordinator.run());
+        // Echo the right shard with the wrong attempt, then the wrong
+        // shard with the right attempt.
+        for (shard_skew, attempt_skew) in [(0, 1), (1, 0)] {
+            let mut stream = hand_rolled_worker(addr, 1, |shard, attempt| Message::Result {
+                shard: shard + shard_skew,
+                attempt: attempt + attempt_skew,
+                snapshot: p.snapshot(p.shard(30, 0)),
+            });
+            assert!(
+                read_message(&mut stream).is_err(),
+                "the coordinator hangs up on a mismatched echo"
+            );
+        }
+        let ctx = p.pipeline.context();
+        run_worker_faulty(
+            addr,
+            2,
+            |shard| p.pipeline.scan_list_with(&ctx, p.shard(30, shard)),
+            &WorkerFaults::default(),
+        )
+        .expect("honest worker exits");
+        run.join()
+            .expect("coordinator thread")
+            .expect("the honest worker completes the run")
+    });
+
+    assert_byte_identical(&report, &p.serial);
+    let s = &report.stats;
+    assert_eq!(s.abandons, 2, "both lying leases were abandoned: {s:?}");
+    assert_eq!(s.commits, report.shards as u64, "one commit per shard");
+    assert_eq!(s.grants, report.shards as u64 + s.abandons, "{s:?}");
+}
+
+/// A partial that repeats a host of an earlier shard fails coverage:
+/// shards must partition the population.
+#[test]
+fn partial_overlapping_an_earlier_shard_fails_coverage() {
+    let fx = Fixture::new(0x0E1A);
+    let p = fx.prepare(120);
+    let shard_total = p.shard_count(30);
+    let coordinator = p.coordinator(30, config(1, 60_000));
+    let addr = coordinator.local_addr().expect("addr");
+
+    let err = std::thread::scope(|s| {
+        let run = s.spawn(move || coordinator.run());
+        s.spawn(|| {
+            let stream = hand_rolled_worker(addr, shard_total, |shard, attempt| {
+                let mut hosts = p.shard(30, shard as usize).to_vec();
+                if shard == 1 {
+                    hosts.push(p.hosts[0].clone());
+                }
+                Message::Result {
+                    shard,
+                    attempt,
+                    snapshot: p.snapshot(&hosts),
+                }
+            });
+            drop(stream);
+        });
+        run.join()
+            .expect("coordinator thread")
+            .expect_err("shard 1 repeats a host of shard 0")
+    });
+    assert!(
+        matches!(err, OrchestrateError::Coverage { .. }),
+        "got {err}"
+    );
+}
+
 /// If every worker is gone with shards uncommitted, the coordinator
 /// fails loudly instead of waiting forever.
 #[test]
 fn coordinator_reports_workers_lost_when_the_fleet_dies() {
     let fx = Fixture::new(0x0157);
-    let p = fx.prepare();
-    let scan_time = *p.serial.scan_time.as_ref().expect("scan time");
-    let cfg = config(1, 13, 60_000);
-    let coordinator =
-        Coordinator::bind(("127.0.0.1", 0), p.hosts.clone(), scan_time, cfg).expect("bind");
-    let addr = coordinator.local_addr().expect("addr");
-
-    let err = std::thread::scope(|s| {
-        let run = s.spawn(move || coordinator.run());
-        let pipeline = &p.pipeline;
-        s.spawn(move || {
-            let ctx = pipeline.context();
-            let faults = WorkerFaults {
-                die_after_grant: Some(1),
-                stall: None,
-            };
-            govscan_orchestrate::run_worker_faulty(
-                addr,
-                0,
-                |shard| pipeline.scan_list_with(&ctx, shard),
-                &faults,
-            )
-        });
-        run.join()
-            .expect("coordinator thread")
-            .expect_err("the lone worker died mid-shard")
-    });
+    let p = fx.prepare(usize::MAX);
+    let (report, summaries) = p.run_fleet(13, config(1, 60_000), vec![die_on_first_grant()]);
+    assert!(summaries[0].died);
+    let err = report.expect_err("the lone worker died mid-shard");
     assert!(
-        matches!(
-            err,
-            govscan_orchestrate::OrchestrateError::WorkersLost { .. }
-        ),
+        matches!(err, OrchestrateError::WorkersLost { .. }),
         "got {err}"
     );
 }

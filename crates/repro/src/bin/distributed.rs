@@ -1,15 +1,15 @@
-//! Distributed-scan CLI: the §4.2.3 measurement through the
-//! coordinator/worker split, checked against the single-process scan.
+//! Distributed-scan CLI: the streamed §4.2.3 measurement through the
+//! coordinator/worker split on 127.0.0.1, checked against the streamed
+//! archive.
 //!
 //! ```text
-//! distributed --workers 4                    in-process lease loop
-//! distributed --workers 2 --socket           real wire protocol on 127.0.0.1
+//! distributed --workers 4                    4 socket workers lease shard indices
 //! distributed --workers 2 --inject-death     kill worker 0 mid-shard (CI smoke)
 //! distributed --workers 4 --out scan.snap    archive the merged dataset
 //! ```
 //!
 //! Honours `GOVSCAN_SCALE` / `GOVSCAN_SEED`. Exits non-zero if the
-//! merged digest differs from the single-process scan digest.
+//! merged digest differs from the streamed archive's digest.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use govscan_repro::distributed::{self, Options};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: distributed [--workers N] [--socket] [--inject-death] [--out <path>]");
+    eprintln!("usage: distributed [--workers N] [--inject-death] [--out <path>]");
     ExitCode::from(2)
 }
 
@@ -25,7 +25,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Options {
         workers: 2,
-        socket: false,
         inject_death: false,
         out: None,
     };
@@ -38,10 +37,6 @@ fn main() -> ExitCode {
                 };
                 opts.workers = n;
                 i += 2;
-            }
-            "--socket" => {
-                opts.socket = true;
-                i += 1;
             }
             "--inject-death" => {
                 opts.inject_death = true;

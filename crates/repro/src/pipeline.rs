@@ -21,11 +21,8 @@ use std::io::{BufWriter, Seek};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use govscan_net::TlsClientConfig;
-use govscan_pki::trust::TrustStoreProfile;
-use govscan_scanner::{ListScanner, ScanContext, StudyPipeline};
+use govscan_scanner::{ShardScanner, StudyPipeline};
 use govscan_store::{Snapshot, SnapshotWriter, StoreError};
-use govscan_worldgen::hosting::provider_table;
 use govscan_worldgen::{stream_shards, World, WorldConfig};
 
 /// The receipt of one pipeline arm: what was archived and what it cost.
@@ -114,10 +111,7 @@ pub fn stream_scan_archive(
 ) -> Result<PipelineReport, StoreError> {
     let start = Instant::now();
     let plan = stream_shards(config);
-    let scanner = ListScanner::new(plan.tranco(), plan.scan_time());
-    let providers = provider_table();
-    let trust = plan.cadb().trust_store(TrustStoreProfile::Apple);
-    let ev = plan.cadb().ev_registry();
+    let scanner = ShardScanner::new(&plan, plan.scan_time());
 
     let file = File::create(out)?;
     let mut writer = SnapshotWriter::new(BufWriter::new(file), Some(plan.scan_time()))?;
@@ -127,25 +121,14 @@ pub fn stream_scan_archive(
         plan.shard_count(),
         shard_window,
         |i| {
-            // Produce: realize the shard and scan it against its own
-            // net. The context (and its verdict cache) is per-shard;
-            // the cache is observationally transparent, so per-shard
-            // caches scan identically to one warm global cache.
+            // Produce: realize the shard and scan it against its own net.
             let shard = plan.realize_shard(i);
-            let ctx = ScanContext::new(
-                &shard.net,
-                trust,
-                ev,
-                &providers,
-                plan.scan_time(),
-                TlsClientConfig::default(),
-            );
-            scanner.scan_list_with(&ctx, &shard.hostnames)
+            scanner.scan(&shard.net, &shard.hostnames)
         },
         |_, dataset| {
-            // Consume (in shard order): append to the archive. The shard
-            // and its net are dropped here — only the writer's pools
-            // persist across shards.
+            // Consume (in shard order): append to the archive. The
+            // producer already dropped the shard and its net; only the
+            // writer's pools persist across shards.
             writer.append_records(dataset.records())?;
             peak_pooled = peak_pooled.max(writer.pooled_bytes());
             Ok::<(), StoreError>(())

@@ -45,5 +45,5 @@ pub use filter::GovFilter;
 pub use incremental::{
     plan_rescan, Decision, IncrementalPlan, IncrementalPolicy, IncrementalStats, SelectReason,
 };
-pub use pipeline::{Discovery, ListScanner, StudyOutput, StudyPipeline};
+pub use pipeline::{Discovery, ListScanner, ShardScanner, StudyOutput, StudyPipeline};
 pub use probe::{scan_host, scan_hosts, ScanContext};

@@ -4,9 +4,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
-use govscan_net::TlsClientConfig;
-use govscan_pki::trust::TrustStoreProfile;
-use govscan_worldgen::{Posture, RankingList, World};
+use govscan_net::{CidrTable, SimNet, TlsClientConfig};
+use govscan_pki::ev::EvRegistry;
+use govscan_pki::trust::{TrustStore, TrustStoreProfile};
+use govscan_worldgen::hosting::provider_table;
+use govscan_worldgen::{Posture, RankingList, StreamPlan, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,10 +35,7 @@ pub struct StudyOutput {
 }
 
 /// The discovery half of the methodology (§4.1–§4.2): everything up to
-/// — but not including — the measurement scan. Splitting here is what
-/// lets `govscan-orchestrate` distribute the scan: discovery runs once
-/// on the coordinator, the [`Discovery::final_list`] is sharded out,
-/// and each worker scans its shards with [`StudyPipeline::scan_list_with`].
+/// — but not including — the measurement scan.
 pub struct Discovery {
     /// The §4.1 seed list.
     pub seed_list: Vec<String>,
@@ -56,9 +55,9 @@ pub struct Discovery {
 /// [`ScanContext`]: the government filter, a hostname → rank index over
 /// the authoritative ranking list (a hash lookup, replacing the linear
 /// `RankingList::rank_of` scan that made per-record annotation O(list)
-/// at paper scale), and the scan time. The streamed pipeline builds one
-/// from [`govscan_worldgen::StreamPlan::tranco`] and scans shard after
-/// shard through it; [`StudyPipeline::scan_list_with`] delegates here.
+/// at paper scale), and the scan time. [`ShardScanner`] builds one from
+/// [`StreamPlan::tranco`]; [`StudyPipeline::scan_list_with`] delegates
+/// here.
 pub struct ListScanner {
     filter: GovFilter,
     ranks: HashMap<String, u32>,
@@ -91,6 +90,48 @@ impl ListScanner {
             r.tranco_rank = self.ranks.get(&r.hostname).copied();
         }
         ScanDataset::new(records, self.scan_time)
+    }
+}
+
+/// The per-shard scan of a [`StreamPlan`] population: the one scan the
+/// streamed pipeline, the monitor's epoch scans and the distributed
+/// workers share. Holds everything that is fixed for the plan — the
+/// [`ListScanner`] over its Tranco list, the provider table and the
+/// Apple trust store and EV registry — and builds a fresh
+/// [`ScanContext`] per call over the caller's net. The verdict cache is
+/// per call too; it is observationally transparent, so per-shard caches
+/// scan identically to one warm global cache.
+pub struct ShardScanner<'p> {
+    scanner: ListScanner,
+    providers: CidrTable<(&'static str, bool)>,
+    trust: &'p TrustStore,
+    ev: &'p EvRegistry,
+    scan_time: govscan_pki::Time,
+}
+
+impl<'p> ShardScanner<'p> {
+    /// A scanner for `plan`'s shards at `scan_time`.
+    pub fn new(plan: &'p StreamPlan, scan_time: govscan_pki::Time) -> ShardScanner<'p> {
+        ShardScanner {
+            scanner: ListScanner::new(plan.tranco(), scan_time),
+            providers: provider_table(),
+            trust: plan.cadb().trust_store(TrustStoreProfile::Apple),
+            ev: plan.cadb().ev_registry(),
+            scan_time,
+        }
+    }
+
+    /// Scan `hostnames` against `net` and annotate country and rank.
+    pub fn scan(&self, net: &SimNet, hostnames: &[String]) -> ScanDataset {
+        let ctx = ScanContext::new(
+            net,
+            self.trust,
+            self.ev,
+            &self.providers,
+            self.scan_time,
+            TlsClientConfig::default(),
+        );
+        self.scanner.scan_list_with(&ctx, hostnames)
     }
 }
 
@@ -151,12 +192,10 @@ impl<'w> StudyPipeline<'w> {
         self.scan_list_with(&self.context(), hostnames)
     }
 
-    /// [`Self::scan_list`] against a caller-held context — the shardable
-    /// entry point. A distributed worker builds one context up front and
-    /// scans every shard it is leased through it, so the chain-verdict
-    /// cache warms across shards instead of restarting per shard.
-    /// Delegates to a lazily built (and then reused) [`ListScanner`]
-    /// over the world's tranco list.
+    /// [`Self::scan_list`] against a caller-held context, so the
+    /// chain-verdict cache warms across several lists instead of
+    /// restarting per list. Delegates to a lazily built (and then
+    /// reused) [`ListScanner`] over the world's tranco list.
     pub fn scan_list_with(&self, ctx: &ScanContext<'w>, hostnames: &[String]) -> ScanDataset {
         self.scanner
             .get_or_init(|| ListScanner::new(&self.world.tranco, self.scan_time))

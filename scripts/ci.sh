@@ -131,12 +131,12 @@ rm -rf "$pipedir"
 # subprocesses, asserting digest equality and the peak-RSS comparison,
 # without emitting the full-scale BENCH_pipeline.json artifact.
 run env GOVSCAN_BENCH_SMOKE=1 cargo bench --offline -p govscan-repro --bench pipeline
-# Distributed-scan smoke: 2 workers over the real socket protocol with
-# worker 0 killed on its first shard; the binary exits non-zero unless
-# the lease-recovered, merged dataset's digest equals the
-# single-process scan's.
+# Distributed-scan smoke: 2 socket workers lease StreamPlan shard
+# indices, with worker 0 killed on its first shard; the binary exits
+# non-zero unless the lease-recovered, merged dataset's digest equals
+# the streamed archive's for the same config.
 run env GOVSCAN_SCALE=0.02 cargo run --offline -q -p govscan-repro --bin distributed -- \
-  --workers 2 --socket --inject-death
+  --workers 2 --inject-death
 # Longitudinal-monitor smoke: baseline + 4 weekly epochs of the
 # evolving world; --self-check digest-proves every epoch's incremental
 # scan against full rescans at one and at N threads, round-trips each
